@@ -135,11 +135,48 @@ struct Instruction
     static Addr fallThrough(Addr pc) { return pc + instBytes; }
 
     /** Does this instruction write @p rd (i.e. rd != r0 and writes)? */
-    bool writesReg() const;
-    /** Number of register sources actually read (0-2). */
-    unsigned numSources() const;
+    bool
+    writesReg() const
+    {
+        if (rd == zeroReg)
+            return false;
+        switch (op) {
+          case Opcode::Sd: case Opcode::Beq: case Opcode::Bne:
+          case Opcode::Blt: case Opcode::Bge: case Opcode::Halt:
+            return false;
+          default:
+            return true;
+        }
+    }
+
     /** Does the instruction read rs2 as a register operand? */
-    bool readsRs2() const;
+    bool
+    readsRs2() const
+    {
+        switch (op) {
+          case Opcode::Add: case Opcode::Sub: case Opcode::And:
+          case Opcode::Or: case Opcode::Xor: case Opcode::Sll:
+          case Opcode::Srl: case Opcode::Sra: case Opcode::Slt:
+          case Opcode::Sltu: case Opcode::Mul: case Opcode::Div:
+          case Opcode::Beq: case Opcode::Bne: case Opcode::Blt:
+          case Opcode::Bge: case Opcode::Sd: case Opcode::Fused:
+            return true;
+          default:
+            return false;
+        }
+    }
+
+    /** Number of register sources actually read (0-2). */
+    unsigned
+    numSources() const
+    {
+        switch (op) {
+          case Opcode::Lui: case Opcode::Jal: case Opcode::Halt:
+            return 0;
+          default:
+            return readsRs2() ? 2 : 1;
+        }
+    }
 };
 
 /** Encode a decoded instruction into its 32-bit word. */

@@ -96,6 +96,10 @@ class ByteReader
                   "requested at offset %zu of %zu)",
                   n, pos_, size_);
         }
+        // An empty payload may have a null data_: memcpy from null
+        // is undefined even for zero bytes.
+        if (n == 0)
+            return;
         std::memcpy(out, data_ + pos_, n);
         pos_ += n;
     }

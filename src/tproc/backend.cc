@@ -1,6 +1,7 @@
 #include "tproc/backend.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -9,17 +10,21 @@ namespace tpre
 
 TimingBackend::TimingBackend(BackendConfig config)
     : config_(config), dcache_(config.dcacheGeometry),
-      peBusy_(config.numPes, false)
+      ring_(std::bit_ceil(config.numPes + kRetainedTraces)),
+      ringMask_(ring_.size() - 1), peBusy_(config.numPes, false)
 {
     tpre_assert(config_.numPes >= 1);
+    tpre_assert(ring_.size() * 2 * kMaxTraceLen < noOperand,
+                "too many PEs for the operand encoding");
     for (auto &writer : lastWriter_)
         writer.valid = false;
 }
 
-bool
-TimingBackend::hasFreePe() const
+inline void
+TimingBackend::refreshReady(InflightInst &inst, Cycle notBefore)
 {
-    return inflight_.size() < config_.numPes;
+    inst.readyAt = std::max(
+        notBefore, std::max(inst.src[0].availAt, inst.src[1].availAt));
 }
 
 std::uint64_t
@@ -28,81 +33,119 @@ TimingBackend::dispatch(const Trace &trace,
 {
     tpre_assert(hasFreePe(), "dispatch() with no free PE");
 
-    InflightTrace flight;
-    flight.handle = nextHandle_++;
+    const std::uint64_t handle = nextHandle_++;
+    const std::size_t slot_idx = handle & ringMask_;
+    Slot &slot = ring_[slot_idx];
 
-    // Pick a free PE number (round-robin by handle is fine; PEs
-    // are symmetric).
+    // Lowest free PE number (PEs are symmetric).
     unsigned pe = 0;
-    std::vector<bool> used(config_.numPes, false);
-    for (const InflightTrace &t : inflight_)
-        used[t.pe] = true;
-    while (used[pe])
+    while (peBusy_[pe])
         ++pe;
-    flight.pe = pe;
-    flight.dispatched = now;
+    peBusy_[pe] = true;
 
-    flight.insts.reserve(trace.insts.size());
-    for (const TraceInst &ti : trace.insts) {
-        InflightInst inst;
-        inst.inst = ti.inst;
+    slot.pe = pe;
+    slot.len = static_cast<unsigned>(trace.insts.size());
+    slot.remaining = slot.len;
+    slot.cursor = 0;
+    slot.notBefore = now + 1;
+    slot.latest = 0;
+
+    for (unsigned i = 0; i < slot.len; ++i) {
+        const TraceInst &ti = trace.insts[i];
+        InflightInst &inst = slot.insts[i];
         tpre_assert(ti.srcPos < dyn.size(),
                     "srcPos out of range of dynamic records");
         inst.effAddr = dyn[ti.srcPos].effAddr;
-        inst.notBefore = now + 1;
+        inst.completion = noCompletion;
+        inst.waiters = noOperand;
+        inst.op = ti.inst.op;
+        inst.crossOperands = 0;
 
-        if (inst.inst.numSources() >= 1 &&
-            lastWriter_[inst.inst.rs1].valid &&
-            inst.inst.rs1 != zeroReg) {
-            inst.producers[0] = lastWriter_[inst.inst.rs1];
+        // Resolve each source's producer: a long-retired one's value
+        // was available at cycle 0; an in-window one links this
+        // operand into its wakeup list.
+        const bool reads[2] = {
+            ti.inst.numSources() >= 1 && ti.inst.rs1 != zeroReg,
+            ti.inst.readsRs2() && ti.inst.rs2 != zeroReg};
+        const RegIndex regs[2] = {ti.inst.rs1, ti.inst.rs2};
+        for (unsigned s = 0; s < 2; ++s) {
+            Operand &op = inst.src[s];
+            op = Operand{};
+            const WriterInfo &writer = lastWriter_[regs[s]];
+            if (!reads[s] || !writer.valid)
+                continue;
+            const bool cross = writer.pe != pe;
+            op.busLatency = cross ? config_.crossPeLatency : 0;
+            inst.crossOperands += cross;
+            if (writer.handle < oldestHandle_) {
+                op.availAt = op.busLatency;
+                continue;
+            }
+            InflightInst &producer =
+                slotOf(writer.handle).insts[writer.idx];
+            op.availAt = producer.completion == noCompletion
+                             ? noCompletion
+                             : producer.completion + op.busLatency;
+            op.nextWaiter = producer.waiters;
+            producer.waiters = static_cast<OperandRef>(
+                (slot_idx * kMaxTraceLen + i) * 2 + s);
         }
-        if (inst.inst.readsRs2() && inst.inst.rs2 != zeroReg &&
-            lastWriter_[inst.inst.rs2].valid) {
-            inst.producers[1] = lastWriter_[inst.inst.rs2];
-        }
+        refreshReady(inst, slot.notBefore);
 
-        if (inst.inst.writesReg()) {
-            lastWriter_[inst.inst.rd] = {
-                flight.handle,
-                static_cast<unsigned>(flight.insts.size()), pe,
-                true};
-        }
-        flight.insts.push_back(inst);
+        if (ti.inst.writesReg())
+            lastWriter_[ti.inst.rd] = {handle, i, pe, true};
     }
-    flight.remaining = flight.insts.size();
-    inflight_.push_back(std::move(flight));
-    return inflight_.back().handle;
+    return handle;
 }
 
-Cycle
-TimingBackend::producerCompletion(const WriterInfo &writer) const
+void
+TimingBackend::issue(Slot &slot, InflightInst &inst, Cycle now)
 {
-    if (!writer.valid)
-        return 0;
-    if (const InflightTrace *t = findTrace(writer.handle))
-        return t->insts[writer.idx].completion;
-    // Long retired: value available ages ago.
-    return 0;
+    ++stats_.instsIssued;
+
+    Cycle latency = 1;
+    switch (inst.op) {
+      case Opcode::Mul:
+        latency = config_.mulLatency;
+        break;
+      case Opcode::Div:
+        latency = config_.divLatency;
+        break;
+      case Opcode::Ld: {
+        ++stats_.dcacheAccesses;
+        const bool hit = dcache_.access(inst.effAddr);
+        if (!hit)
+            ++stats_.dcacheMisses;
+        latency = hit ? config_.dcacheHitLatency
+                      : config_.dcacheMissLatency;
+        break;
+      }
+      case Opcode::Sd:
+        ++stats_.dcacheAccesses;
+        dcache_.access(inst.effAddr);
+        break;
+      default:
+        break;
+    }
+    inst.completion = now + latency;
+    slot.latest = std::max(slot.latest, inst.completion);
+    tpre_assert(slot.remaining > 0);
+    --slot.remaining;
+
+    wake(inst.waiters, inst.completion);
 }
 
-TimingBackend::InflightTrace *
-TimingBackend::findTrace(std::uint64_t handle)
+void
+TimingBackend::wake(OperandRef ref, Cycle valueAt)
 {
-    for (InflightTrace &t : inflight_) {
-        if (t.handle == handle)
-            return &t;
+    while (ref != noOperand) {
+        Slot &slot = ring_[ref / (2 * kMaxTraceLen)];
+        InflightInst &consumer = slot.insts[(ref / 2) % kMaxTraceLen];
+        Operand &op = consumer.src[ref & 1];
+        op.availAt = valueAt + op.busLatency;
+        refreshReady(consumer, slot.notBefore);
+        ref = op.nextWaiter;
     }
-    for (InflightTrace &t : retired_) {
-        if (t.handle == handle)
-            return &t;
-    }
-    return nullptr;
-}
-
-const TimingBackend::InflightTrace *
-TimingBackend::findTrace(std::uint64_t handle) const
-{
-    return const_cast<TimingBackend *>(this)->findTrace(handle);
 }
 
 void
@@ -117,67 +160,41 @@ TimingBackend::tick(Cycle now)
 
     unsigned dcache_ports_used = 0;
 
-    for (InflightTrace &flight : inflight_) {
+    // Oldest trace first: the PEs share the buses and the D-cache.
+    for (std::uint64_t h = headHandle_; h != nextHandle_; ++h) {
+        Slot &slot = slotOf(h);
+        if (slot.remaining == 0)
+            continue;
         unsigned issued_this_pe = 0;
         unsigned dcache_pe_used = 0;
 
-        for (std::size_t i = 0;
-             i < flight.insts.size() &&
-             issued_this_pe < config_.issuePerPe;
+        for (unsigned i = slot.cursor;
+             i < slot.len && issued_this_pe < config_.issuePerPe;
              ++i) {
-            InflightInst &inst = flight.insts[i];
-            if (inst.issued)
+            InflightInst &inst = slot.insts[i];
+            if (inst.completion != noCompletion)
                 continue;
-            if (inst.notBefore > now) {
-                if (config_.inOrderPe)
-                    break;
-                continue;
-            }
-
-            // Operand readiness (with cross-PE bus latency).
-            bool ready = true;
-            unsigned cross_pe_operands = 0;
-            for (const WriterInfo &producer : inst.producers) {
-                if (!producer.valid)
-                    continue;
-                const Cycle done = producerCompletion(producer);
-                if (done == noCompletion) {
-                    ready = false;
-                    break;
-                }
-                const bool cross = producer.pe != flight.pe;
-                const Cycle avail =
-                    done + (cross ? config_.crossPeLatency : 0);
-                if (avail > now) {
-                    ready = false;
-                    break;
-                }
-                if (cross)
-                    ++cross_pe_operands;
-            }
-            if (!ready) {
+            if (inst.readyAt > now) {
                 if (config_.inOrderPe)
                     break;
                 continue;
             }
 
             // Global result buses for cross-PE operands.
-            if (cross_pe_operands > 0) {
-                if (bus_now + cross_pe_operands >
+            if (inst.crossOperands > 0) {
+                if (bus_now + inst.crossOperands >
                     config_.resultBuses) {
                     ++stats_.busStalls;
                     if (config_.inOrderPe)
                         break;
                     continue;
                 }
-                bus_now += cross_pe_operands;
-                stats_.busTransfers += cross_pe_operands;
+                bus_now += inst.crossOperands;
+                stats_.busTransfers += inst.crossOperands;
             }
 
             // Data-cache ports for memory operations.
-            const bool is_mem =
-                inst.inst.isLoad() || inst.inst.isStore();
-            if (is_mem) {
+            if (inst.op == Opcode::Ld || inst.op == Opcode::Sd) {
                 if (dcache_ports_used >= config_.dcachePorts ||
                     dcache_pe_used >= config_.dcachePortsPerPe) {
                     if (config_.inOrderPe)
@@ -188,113 +205,60 @@ TimingBackend::tick(Cycle now)
                 ++dcache_pe_used;
             }
 
-            // Issue.
-            inst.issued = true;
+            issue(slot, inst, now);
             ++issued_this_pe;
-            ++stats_.instsIssued;
-
-            Cycle latency = 1;
-            switch (inst.inst.op) {
-              case Opcode::Mul:
-                latency = config_.mulLatency;
-                break;
-              case Opcode::Div:
-                latency = config_.divLatency;
-                break;
-              case Opcode::Ld: {
-                ++stats_.dcacheAccesses;
-                const bool hit = dcache_.access(inst.effAddr);
-                if (!hit)
-                    ++stats_.dcacheMisses;
-                latency = hit ? config_.dcacheHitLatency
-                              : config_.dcacheMissLatency;
-                break;
-              }
-              case Opcode::Sd:
-                ++stats_.dcacheAccesses;
-                dcache_.access(inst.effAddr);
-                latency = 1;
-                break;
-              default:
-                latency = 1;
-                break;
-            }
-            inst.completion = now + latency;
-            tpre_assert(flight.remaining > 0);
-            --flight.remaining;
         }
+        while (slot.cursor < slot.len &&
+               slot.insts[slot.cursor].completion != noCompletion)
+            ++slot.cursor;
     }
-}
-
-bool
-TimingBackend::headDone() const
-{
-    if (inflight_.empty())
-        return false;
-    const InflightTrace &head = inflight_.front();
-    if (head.remaining > 0)
-        return false;
-    // All issued; done when every completion time has passed is
-    // checked by the caller via completionOf; for retirement we
-    // require completions to be assigned (issued), which they are.
-    for (const InflightInst &inst : head.insts) {
-        if (inst.completion == noCompletion)
-            return false;
-    }
-    return true;
 }
 
 Cycle
 TimingBackend::headCompletionTime() const
 {
-    tpre_assert(!inflight_.empty());
-    Cycle latest = 0;
-    for (const InflightInst &inst : inflight_.front().insts) {
-        if (inst.completion == noCompletion)
-            return noCompletion;
-        latest = std::max(latest, inst.completion);
-    }
-    return latest;
+    tpre_assert(!empty());
+    const Slot &head = slotOf(headHandle_);
+    return head.remaining > 0 ? noCompletion : head.latest;
 }
 
 std::uint64_t
 TimingBackend::headHandle() const
 {
-    tpre_assert(!inflight_.empty());
-    return inflight_.front().handle;
+    tpre_assert(!empty());
+    return headHandle_;
 }
 
 void
 TimingBackend::retireHead()
 {
-    tpre_assert(!inflight_.empty());
-    retired_.push_back(std::move(inflight_.front()));
-    inflight_.pop_front();
-    if (retired_.size() > 16)
-        retired_.pop_front();
+    tpre_assert(!empty());
+    peBusy_[slotOf(headHandle_).pe] = false;
+    ++headHandle_;
+    if (headHandle_ - oldestHandle_ > kRetainedTraces)
+        ageOut();
+}
+
+void
+TimingBackend::ageOut()
+{
+    // Completions of a trace outside the window read as 0 ("long
+    // retired"); any consumer still holding one of its values
+    // switches to that reading.
+    const Slot &slot = slotOf(oldestHandle_++);
+    for (unsigned i = 0; i < slot.len; ++i)
+        wake(slot.insts[i].waiters, 0);
 }
 
 Cycle
 TimingBackend::completionOf(std::uint64_t handle,
                             unsigned idx) const
 {
-    const InflightTrace *t = findTrace(handle);
-    if (!t)
+    if (handle < oldestHandle_ || handle >= nextHandle_)
         return 0; // long retired
-    tpre_assert(idx < t->insts.size());
-    return t->insts[idx].completion;
-}
-
-void
-TimingBackend::delayInst(std::uint64_t handle, unsigned idx,
-                         Cycle notBefore)
-{
-    InflightTrace *t = findTrace(handle);
-    if (!t)
-        return;
-    tpre_assert(idx < t->insts.size());
-    t->insts[idx].notBefore =
-        std::max(t->insts[idx].notBefore, notBefore);
+    const Slot &slot = slotOf(handle);
+    tpre_assert(idx < slot.len);
+    return slot.insts[idx].completion;
 }
 
 } // namespace tpre

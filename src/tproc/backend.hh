@@ -19,7 +19,6 @@
 #define TPRE_TPROC_BACKEND_HH
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "cache/set_assoc.hh"
@@ -53,7 +52,18 @@ struct BackendConfig
     Cycle divLatency = 20;
 };
 
-/** The trace-processor execution engine. */
+/**
+ * The trace-processor execution engine.
+ *
+ * Event-driven bookkeeping (DESIGN.md section 10.1): handles are
+ * dispatched and retired in order, so the in-flight traces plus the
+ * last kRetainedTraces retired ones form one contiguous handle
+ * window, held in a fixed ring indexed by handle. Each source
+ * operand's producer is resolved at dispatch; a producer writes its
+ * consumers' ready cycles through a wakeup list when it issues, so
+ * a cycle's work grows with the instructions that can issue rather
+ * than with the instructions in flight.
+ */
 class TimingBackend
 {
   public:
@@ -66,10 +76,17 @@ class TimingBackend
         std::uint64_t busStalls = 0;
     };
 
+    /** Retired traces whose completions stay queryable. */
+    static constexpr unsigned kRetainedTraces = 16;
+
     explicit TimingBackend(BackendConfig config = {});
 
     /** Is a processing element free for dispatch? */
-    bool hasFreePe() const;
+    bool
+    hasFreePe() const
+    {
+        return nextHandle_ - headHandle_ < config_.numPes;
+    }
 
     /**
      * Dispatch a trace into a free PE at cycle @p now. @p dyn are
@@ -85,8 +102,6 @@ class TimingBackend
     /** Advance execution by one cycle. */
     void tick(Cycle now);
 
-    /** Is the oldest in-flight trace fully executed? */
-    bool headDone() const;
     /**
      * Cycle at which the oldest trace's last instruction
      * completes; noCompletion while any instruction is unissued.
@@ -97,24 +112,17 @@ class TimingBackend
     /** Retire the oldest trace, freeing its PE. */
     void retireHead();
 
-    bool empty() const { return inflight_.empty(); }
-    std::size_t inflightTraces() const { return inflight_.size(); }
+    bool empty() const { return headHandle_ == nextHandle_; }
 
     /**
      * Completion cycle of instruction @p idx (position in the
      * *dispatched* trace) of in-flight or just-retired trace
      * @p handle; invalid (not yet known) completions return
-     * noCompletion.
+     * noCompletion, and traces retired more than kRetainedTraces
+     * retirements ago return 0 (value available long ago).
      */
     static constexpr Cycle noCompletion = ~static_cast<Cycle>(0);
     Cycle completionOf(std::uint64_t handle, unsigned idx) const;
-
-    /**
-     * Impose an extra not-before constraint on instruction issue
-     * (used by the frontend for post-misprediction refetch of a
-     * trace suffix).
-     */
-    void delayInst(std::uint64_t handle, unsigned idx, Cycle notBefore);
 
     const Stats &stats() const { return stats_; }
     const BackendConfig &config() const { return config_; }
@@ -129,39 +137,84 @@ class TimingBackend
         bool valid = false;
     };
 
+    /** Wakeup-list link / operand reference: (slot, inst, source). */
+    using OperandRef = std::uint32_t;
+    static constexpr OperandRef noOperand = ~OperandRef(0);
+
+    /** A source operand with its producer resolved at dispatch. */
+    struct Operand
+    {
+        /** Cycle the value is readable in this PE; noCompletion
+         *  until the producer issues. */
+        Cycle availAt = 0;
+        /** Cross-PE bus latency (0 for a same-PE producer). */
+        std::uint32_t busLatency = 0;
+        /** Next consumer operand waiting on the same producer. */
+        OperandRef nextWaiter = noOperand;
+    };
+
     struct InflightInst
     {
-        Instruction inst;
         Addr effAddr = 0;
-        /** In-flight producers of rs1/rs2 at dispatch time. */
-        WriterInfo producers[2];
-        Cycle notBefore = 0;    ///< frontend-imposed constraint
+        /** max(dispatch + 1, operand availability): the first
+         *  cycle the instruction may issue. */
+        Cycle readyAt = 0;
         Cycle completion = noCompletion;
-        bool issued = false;
+        Operand src[2];
+        /** Head of this instruction's consumer wakeup list. */
+        OperandRef waiters = noOperand;
+        Opcode op = Opcode::Halt;
+        /** Source operands fed over the global result buses. */
+        std::uint8_t crossOperands = 0;
     };
 
-    struct InflightTrace
+    /** One ring slot: a trace in flight or recently retired. */
+    struct Slot
     {
-        std::uint64_t handle = 0;
         unsigned pe = 0;
-        Cycle dispatched = 0;
-        std::vector<InflightInst> insts;
+        unsigned len = 0;
+        /** Unissued instructions. */
         unsigned remaining = 0;
+        /** First unissued instruction. */
+        unsigned cursor = 0;
+        Cycle notBefore = 0;
+        /** Latest completion among issued instructions. */
+        Cycle latest = 0;
+        std::array<InflightInst, kMaxTraceLen> insts;
     };
 
-    InflightTrace *findTrace(std::uint64_t handle);
-    const InflightTrace *findTrace(std::uint64_t handle) const;
-    /** Completion cycle of a producer; 0 when long retired. */
-    Cycle producerCompletion(const WriterInfo &writer) const;
+    Slot &
+    slotOf(std::uint64_t handle)
+    {
+        return ring_[handle & ringMask_];
+    }
+    const Slot &
+    slotOf(std::uint64_t handle) const
+    {
+        return ring_[handle & ringMask_];
+    }
+    /** Recompute an instruction's ready cycle from its operands. */
+    static void refreshReady(InflightInst &inst, Cycle notBefore);
+    void issue(Slot &slot, InflightInst &inst, Cycle now);
+    /**
+     * Walk a wakeup list from @p ref: each consumer operand reads
+     * a value produced at @p valueAt (plus its bus latency).
+     */
+    void wake(OperandRef ref, Cycle valueAt);
+    /** Drop the oldest retained trace from the handle window. */
+    void ageOut();
 
     BackendConfig config_;
     SetAssocCache dcache_;
-    std::deque<InflightTrace> inflight_;
-    /** Completion times of recently retired traces (bounded). */
-    std::deque<InflightTrace> retired_;
+    /** Handle window [oldestHandle_, nextHandle_); in flight from
+     *  headHandle_. Sized to a power of two >= numPes + retained. */
+    std::vector<Slot> ring_;
+    std::uint64_t ringMask_ = 0;
+    std::uint64_t oldestHandle_ = 1;
+    std::uint64_t headHandle_ = 1;
+    std::uint64_t nextHandle_ = 1;
     std::array<WriterInfo, numArchRegs> lastWriter_;
     std::vector<bool> peBusy_;
-    std::uint64_t nextHandle_ = 1;
     /** Result-bus usage per cycle (small ring buffer). */
     std::array<unsigned, 64> busUse_ = {};
     Cycle busRingBase_ = 0;

@@ -342,10 +342,14 @@ TraceProcessor::run(InstCount maxInsts)
         ++now_;
         backend_.tick(now_);
         commitCompleted();
+        const std::uint64_t dispatched = stats_.traces;
         fetchAndDispatch();
         if (engine_)
             engine_->tick(1, now_ >= slowBusyUntil_);
-        advanceOracle();
+        // Only a dispatch consumes a pending trace; otherwise the
+        // oracle window is still full (or the program has halted).
+        if (stats_.traces != dispatched)
+            advanceOracle();
     }
     stats_.cycles = now_;
     stats_.icache = icache_.stats();

@@ -10,6 +10,11 @@
  * 50k-instruction budget — small enough to run in a normal test
  * cycle, large enough to exercise the trace cache, the
  * preconstruction engine and the stats plumbing end to end.
+ *
+ * A second table pins timing mode the same way: the TraceProcessor
+ * over gcc/go/perl/vortex x the six Figure 6/8 configurations,
+ * captured from the tree immediately before the event-driven
+ * TimingBackend rework (DESIGN.md section 10.1).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +24,8 @@
 #include <vector>
 
 #include "sim/sweep.hh"
+#include "tproc/processor.hh"
+#include "workload/generator.hh"
 
 namespace tpre
 {
@@ -137,6 +144,101 @@ TEST(GoldenTest, Fig5GridBitIdenticalToPreOverhaulCapture)
         }
     }
     EXPECT_EQ(row, std::size(kGolden));
+}
+
+struct TimingGoldenRow
+{
+    const char *benchmark;
+    std::size_t tcEntries;
+    std::size_t pbEntries;
+    bool prep;
+    std::uint64_t instructions;
+    std::uint64_t cycles;
+    std::uint64_t traces;
+    std::uint64_t tcHits;
+    std::uint64_t pbHits;
+    std::uint64_t tcMisses;
+    std::uint64_t ntpCorrect;
+    std::uint64_t ntpWrong;
+    std::uint64_t ntpNone;
+    std::uint64_t instsIssued;
+    std::uint64_t dcacheAccesses;
+    std::uint64_t dcacheMisses;
+    std::uint64_t busTransfers;
+    std::uint64_t busStalls;
+    double ipc;
+};
+
+// Captured before the event-driven backend rework; ipc at %.17g.
+const TimingGoldenRow kTimingGolden[] = {
+    {"gcc", 256, 0, false, 50003, 52870, 3554, 1758, 0, 1797, 1688, 733, 1133, 50018, 12278, 109, 30303, 3, 0.94577264989597121},
+    {"gcc", 128, 128, false, 50003, 50890, 3554, 1519, 673, 1363, 1688, 733, 1133, 50018, 12278, 108, 30832, 3, 0.98257024955786987},
+    {"gcc", 512, 0, false, 50003, 52710, 3554, 2006, 0, 1549, 1688, 733, 1133, 50018, 12278, 109, 30360, 3, 0.94864352115348127},
+    {"gcc", 256, 256, false, 50003, 50764, 3554, 1758, 668, 1129, 1688, 733, 1133, 50018, 12278, 108, 30817, 3, 0.98500906153967382},
+    {"gcc", 256, 0, true, 50003, 48860, 3554, 1758, 0, 1797, 1688, 733, 1133, 49054, 12278, 109, 30278, 2, 1.0233933688088417},
+    {"gcc", 128, 128, true, 50003, 46361, 3554, 1519, 667, 1369, 1688, 733, 1133, 48931, 12278, 108, 30734, 2, 1.0785574081663467},
+    {"go", 256, 0, false, 50005, 53768, 3535, 1828, 0, 1707, 1567, 765, 1203, 50006, 12137, 99, 29316, 1, 0.93001413480136885},
+    {"go", 128, 128, false, 50005, 51899, 3535, 1653, 576, 1306, 1567, 765, 1203, 50006, 12137, 100, 29732, 0, 0.9635060405788165},
+    {"go", 512, 0, false, 50005, 53572, 3535, 2019, 0, 1516, 1567, 765, 1203, 50006, 12137, 99, 29390, 1, 0.93341671022175765},
+    {"go", 256, 256, false, 50005, 51756, 3535, 1828, 578, 1129, 1567, 765, 1203, 50006, 12137, 100, 29755, 0, 0.96616817373831054},
+    {"go", 256, 0, true, 50005, 49532, 3535, 1828, 0, 1707, 1567, 765, 1203, 49038, 12138, 99, 29196, 3, 1.0095493822175563},
+    {"go", 128, 128, true, 50005, 47079, 3535, 1653, 578, 1304, 1567, 765, 1203, 48875, 12138, 100, 29731, 2, 1.0621508528218526},
+    {"perl", 256, 0, false, 50000, 48224, 3541, 2354, 0, 1187, 2228, 666, 647, 50011, 11968, 62, 31083, 0, 1.0368281353682813},
+    {"perl", 128, 128, false, 50000, 46954, 3541, 2019, 576, 946, 2228, 666, 647, 50011, 11968, 62, 31424, 0, 1.0648720023853133},
+    {"perl", 512, 0, false, 50000, 47888, 3541, 2660, 0, 881, 2228, 666, 647, 50011, 11968, 62, 31167, 0, 1.0441029067824925},
+    {"perl", 256, 256, false, 50000, 46743, 3541, 2354, 486, 701, 2228, 666, 647, 50011, 11968, 62, 31438, 0, 1.0696788823995036},
+    {"perl", 256, 0, true, 50000, 42989, 3541, 2354, 0, 1187, 2228, 666, 647, 48472, 11968, 62, 31201, 0, 1.1630882318732698},
+    {"perl", 128, 128, true, 50000, 41492, 3541, 2019, 570, 952, 2228, 666, 647, 48424, 11968, 62, 31454, 0, 1.2050515762074616},
+    {"vortex", 256, 0, false, 50012, 53046, 3489, 1774, 0, 1716, 1924, 583, 982, 50025, 12999, 96, 31877, 0, 0.94280435848131805},
+    {"vortex", 128, 128, false, 50012, 51099, 3489, 1559, 836, 1095, 1924, 583, 982, 50025, 12999, 98, 32398, 0, 0.97872756805416938},
+    {"vortex", 512, 0, false, 50012, 52888, 3489, 2064, 0, 1426, 1924, 583, 982, 50025, 12999, 96, 31880, 0, 0.94562093480562703},
+    {"vortex", 256, 256, false, 50012, 50995, 3489, 1774, 819, 897, 1924, 583, 982, 50025, 12999, 98, 32407, 0, 0.98072360035297579},
+    {"vortex", 256, 0, true, 50012, 47353, 3489, 1774, 0, 1716, 1924, 583, 982, 49121, 13001, 96, 31769, 2, 1.0561527252761176},
+    {"vortex", 128, 128, true, 50012, 44373, 3489, 1559, 828, 1103, 1924, 583, 982, 48905, 13001, 98, 32304, 3, 1.1270817839677281},
+};
+
+TEST(GoldenTest, TimingGridBitIdenticalToPreEventDrivenCapture)
+{
+    std::size_t row = 0;
+    for (const char *name : {"gcc", "go", "perl", "vortex"}) {
+        SimConfig base;
+        base.benchmark = name;
+        base.mode = SimMode::Timing;
+        base.maxInsts = 50000;
+        WorkloadGenerator gen(namedProfile(name, base.workloadSeed));
+        const GeneratedWorkload wl = gen.generate();
+        for (; row < std::size(kTimingGolden) &&
+               std::string(kTimingGolden[row].benchmark) == name;
+             ++row) {
+            const TimingGoldenRow &g = kTimingGolden[row];
+            SCOPED_TRACE(std::string(g.benchmark) + " tc=" +
+                         std::to_string(g.tcEntries) + " pb=" +
+                         std::to_string(g.pbEntries) +
+                         (g.prep ? " +prep" : ""));
+            SimConfig cfg = base;
+            cfg.traceCacheEntries = g.tcEntries;
+            cfg.preconBufferEntries = g.pbEntries;
+            cfg.prepEnabled = g.prep;
+            TraceProcessor proc(wl.program, cfg.toProcessorConfig());
+            const ProcessorStats &s = proc.run(cfg.maxInsts);
+            EXPECT_EQ(s.instructions, g.instructions);
+            EXPECT_EQ(s.cycles, g.cycles);
+            EXPECT_EQ(s.traces, g.traces);
+            EXPECT_EQ(s.tcHits, g.tcHits);
+            EXPECT_EQ(s.pbHits, g.pbHits);
+            EXPECT_EQ(s.tcMisses, g.tcMisses);
+            EXPECT_EQ(s.ntpCorrect, g.ntpCorrect);
+            EXPECT_EQ(s.ntpWrong, g.ntpWrong);
+            EXPECT_EQ(s.ntpNone, g.ntpNone);
+            EXPECT_EQ(s.backend.instsIssued, g.instsIssued);
+            EXPECT_EQ(s.backend.dcacheAccesses, g.dcacheAccesses);
+            EXPECT_EQ(s.backend.dcacheMisses, g.dcacheMisses);
+            EXPECT_EQ(s.backend.busTransfers, g.busTransfers);
+            EXPECT_EQ(s.backend.busStalls, g.busStalls);
+            EXPECT_EQ(s.ipc(), g.ipc);
+        }
+    }
+    EXPECT_EQ(row, std::size(kTimingGolden));
 }
 
 } // namespace

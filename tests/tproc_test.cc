@@ -184,8 +184,7 @@ TEST(BackendTest, RetireInProgramOrder)
     for (Cycle c = 1; c < 5; ++c)
         be.tick(c);
     EXPECT_EQ(be.headHandle(), h1);
-    EXPECT_FALSE(be.headDone() &&
-                 be.headCompletionTime() <= 4);
+    EXPECT_EQ(be.headCompletionTime(), 1u + 20);
     runUntilRetired(be, 5);
 }
 
@@ -198,7 +197,14 @@ TEST(BackendTest, PeCapacity)
         be.dispatch(t, d, 0);
     }
     EXPECT_FALSE(be.hasFreePe());
-    EXPECT_EQ(be.inflightTraces(), 4u);
+    // Retiring the head frees exactly one PE.
+    Cycle now = 0;
+    while (be.headCompletionTime() == TimingBackend::noCompletion)
+        be.tick(++now);
+    be.retireHead();
+    EXPECT_TRUE(be.hasFreePe());
+    be.dispatch(t, d, now);
+    EXPECT_FALSE(be.hasFreePe());
 }
 
 TEST(BackendTest, InOrderPeStallsAtNotReady)
@@ -225,17 +231,145 @@ TEST(BackendTest, InOrderPeStallsAtNotReady)
     EXPECT_NE(be2.completionOf(1, 2), TimingBackend::noCompletion);
 }
 
-TEST(BackendTest, DelayInstHoldsIssue)
+TEST(BackendTest, HandleRingWrapsAndForgetsOldTraces)
 {
+    // Three laps of the handle ring, one trace at a time, each
+    // reading the register the previous trace wrote.
     TimingBackend be;
-    auto [t, dyn] = traceAndDyn({makeInst(Opcode::Addi, 1, 0, 0, 1)});
-    std::uint64_t h = be.dispatch(t, dyn, 0);
-    be.delayInst(h, 0, 10);
-    for (Cycle c = 1; c <= 9; ++c)
-        be.tick(c);
-    EXPECT_EQ(be.completionOf(h, 0), TimingBackend::noCompletion);
-    be.tick(10);
-    EXPECT_NE(be.completionOf(h, 0), TimingBackend::noCompletion);
+    auto [t, d] = traceAndDyn({makeInst(Opcode::Addi, 1, 1, 0, 1)});
+    const unsigned n =
+        3 * (be.config().numPes + TimingBackend::kRetainedTraces);
+    std::vector<std::uint64_t> handles;
+    std::vector<Cycle> done;
+    Cycle now = 0;
+    for (unsigned k = 0; k < n; ++k) {
+        handles.push_back(be.dispatch(t, d, now));
+        EXPECT_EQ(handles.back(), k + 1u);
+        Cycle c;
+        while ((c = be.headCompletionTime()) ==
+                   TimingBackend::noCompletion ||
+               c > now)
+            be.tick(++now);
+        if (!done.empty()) {
+            EXPECT_GT(c, done.back());
+        }
+        done.push_back(c);
+        be.retireHead();
+        // Just retired: the real completion cycle.
+        EXPECT_EQ(be.completionOf(handles.back(), 0), c);
+    }
+    EXPECT_TRUE(be.empty());
+    const unsigned kept = TimingBackend::kRetainedTraces;
+    EXPECT_EQ(be.completionOf(handles[n - kept], 0), done[n - kept]);
+    // Retired more than kRetainedTraces traces ago: long retired.
+    EXPECT_EQ(be.completionOf(handles[n - kept - 1], 0), 0u);
+    EXPECT_EQ(be.completionOf(handles[0], 0), 0u);
+}
+
+TEST(BackendTest, PeReusedAfterRetirement)
+{
+    // A slow div holds PE0 while three quick traces fill PE1-3.
+    TimingBackend be;
+    auto [slow, ds] = traceAndDyn({makeInst(Opcode::Div, 1, 2, 3)});
+    auto [fast, df] = traceAndDyn({makeInst(Opcode::Addi, 5, 0, 0, 1)});
+    const std::uint64_t h_div = be.dispatch(slow, ds, 0);
+    for (int i = 0; i < 3; ++i)
+        be.dispatch(fast, df, 0);
+    Cycle now = 0;
+    while (be.headCompletionTime() == TimingBackend::noCompletion ||
+           be.headCompletionTime() > now)
+        be.tick(++now);
+    EXPECT_EQ(now, 1u + 20);
+    EXPECT_EQ(be.headHandle(), h_div);
+    be.retireHead();
+    ASSERT_TRUE(be.hasFreePe());
+
+    // The consumer lands on the freed PE0, next to its producer, so
+    // it pays no cross-PE latency: ready at 21, issues at 22.
+    auto [use, du] = traceAndDyn({makeInst(Opcode::Addi, 4, 1, 0, 1)});
+    const std::uint64_t h_use = be.dispatch(use, du, now);
+    EXPECT_FALSE(be.hasFreePe());
+    be.tick(++now);
+    EXPECT_EQ(be.completionOf(h_use, 0), 23u);
+    EXPECT_EQ(be.stats().busTransfers, 0u);
+}
+
+TEST(BackendTest, OutOfOrderPeWakesCrossPeConsumer)
+{
+    BackendConfig cfg;
+    cfg.inOrderPe = false;
+    cfg.crossPeLatency = 3;
+    TimingBackend be(cfg);
+    auto [ta, da] = traceAndDyn({
+        makeInst(Opcode::Mul, 1, 2, 3),     // 5 cycles
+        makeInst(Opcode::Addi, 4, 1, 0, 1), // stalls on the mul
+        makeInst(Opcode::Addi, 5, 0, 0, 1), // issues past the stall
+        makeInst(Opcode::Addi, 7, 1, 0, 1), // waits on the mul too
+    });
+    auto [tb, db] = traceAndDyn({makeInst(Opcode::Addi, 6, 5, 0, 1)});
+    const std::uint64_t ha = be.dispatch(ta, da, 0);
+    const std::uint64_t hb = be.dispatch(tb, db, 0);
+
+    be.tick(1);
+    EXPECT_EQ(be.completionOf(ha, 0), 1u + 5);
+    EXPECT_EQ(be.completionOf(ha, 1), TimingBackend::noCompletion);
+    const Cycle produced = be.completionOf(ha, 2);
+    EXPECT_EQ(produced, 2u);
+
+    // The consumer in PE1 wakes exactly crossPeLatency cycles after
+    // its producer completes.
+    const Cycle wake = produced + cfg.crossPeLatency;
+    Cycle now = 1;
+    while (now + 1 < wake) {
+        be.tick(++now);
+        EXPECT_EQ(be.completionOf(hb, 0), TimingBackend::noCompletion);
+    }
+    be.tick(++now);
+    EXPECT_EQ(be.completionOf(hb, 0), wake + 1);
+    EXPECT_EQ(be.stats().busTransfers, 1u);
+    runUntilRetired(be, now);
+    // Both mul consumers issue together, past the issued slot 2.
+    EXPECT_EQ(be.completionOf(ha, 1), 1u + 5 + 1);
+    EXPECT_EQ(be.completionOf(ha, 3), 1u + 5 + 1);
+}
+
+TEST(BackendTest, ConsumerOutlivingItsProducerSeesItLongRetired)
+{
+    // A consumer still waiting when its producer leaves the handle
+    // window reads the value as available since cycle 0 (plus the
+    // bus crossing), exactly like a consumer dispatched afterwards.
+    BackendConfig cfg;
+    cfg.crossPeLatency = 100;
+    TimingBackend be(cfg);
+    auto [tp, dp] = traceAndDyn({makeInst(Opcode::Addi, 1, 0, 0, 1)});
+    auto [tf, df] = traceAndDyn({makeInst(Opcode::Addi, 9, 0, 0, 1)});
+    auto [tc, dc] = traceAndDyn({makeInst(Opcode::Addi, 4, 1, 0, 1)});
+    Cycle now = 0;
+    auto retireWhenDone = [&] {
+        while (be.headCompletionTime() == TimingBackend::noCompletion ||
+               be.headCompletionTime() > now)
+            be.tick(++now);
+        be.retireHead();
+    };
+    const std::uint64_t hp = be.dispatch(tp, dp, now); // PE0
+    retireWhenDone();
+    EXPECT_EQ(be.completionOf(hp, 0), 2u);
+    // kRetainedTraces - 1 more retirements keep the producer in
+    // the window; the last filler stays in flight on PE0.
+    for (unsigned k = 1; k < TimingBackend::kRetainedTraces; ++k) {
+        be.dispatch(tf, df, now);
+        retireWhenDone();
+    }
+    be.dispatch(tf, df, now);
+    const std::uint64_t hc = be.dispatch(tc, dc, now); // PE1: cross
+    EXPECT_EQ(be.completionOf(hp, 0), 2u);
+    retireWhenDone(); // the producer ages out here
+    EXPECT_EQ(be.completionOf(hp, 0), 0u);
+    ASSERT_LT(now, 50u);
+    while (be.completionOf(hc, 0) == TimingBackend::noCompletion)
+        be.tick(++now);
+    // Available from 0 + 100, not from 2 + 100.
+    EXPECT_EQ(be.completionOf(hc, 0), 100u + 1);
 }
 
 // ---------------------------------------------------------------
