@@ -86,7 +86,14 @@ void
 SetAssocCache::save(mem::ByteWriter &w) const
 {
     w.put<std::uint64_t>(lines_.size());
-    w.putBytes(lines_.data(), lines_.size() * sizeof(Line));
+    // Field-wise: Line has 7 padding bytes after `valid`.
+    static_assert(sizeof(Line) == 24, "wire layout changed");
+    for (const Line &line : lines_) {
+        w.put(line.valid);
+        w.pad(7);
+        w.put(line.tag);
+        w.put(line.lastUse);
+    }
     w.put(useClock_);
 }
 
@@ -99,7 +106,12 @@ SetAssocCache::restore(mem::ByteReader &r)
               "%zu configured",
               static_cast<unsigned long long>(n), lines_.size());
     }
-    r.getBytes(lines_.data(), lines_.size() * sizeof(Line));
+    for (Line &line : lines_) {
+        line.valid = r.get<bool>();
+        r.skip(7);
+        line.tag = r.get<Addr>();
+        line.lastUse = r.get<std::uint64_t>();
+    }
     useClock_ = r.get<std::uint64_t>();
 }
 

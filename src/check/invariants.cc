@@ -41,12 +41,15 @@ class Msg
     std::ostringstream os_;
 };
 
-/** Hard trace terminators (selection rule 1). */
+/**
+ * Hard trace terminators (selection rule 1): returns, indirect
+ * jumps and Halt. A return is a Jalr, so two opcode compares cover
+ * all three.
+ */
 bool
 hardTerminator(const Instruction &inst)
 {
-    return inst.isReturn() || inst.isIndirectJump() ||
-           inst.op == Opcode::Halt;
+    return inst.op == Opcode::Jalr || inst.op == Opcode::Halt;
 }
 
 /**
@@ -100,22 +103,49 @@ traceWellFormed(const Trace &t, const SelectionPolicy &policy,
                      << t.id.startPc << " != first inst pc 0x"
                      << t.insts.front().pc;
 
-    // Branch accounting: flags mirror the embedded outcomes.
+    // One pass over the body does the branch accounting and finds
+    // the first slot that holds a hard terminator before the last
+    // slot, breaks path contiguity or has a wrong srcPos. That slot
+    // is reported only after the branch accounting passes, so the
+    // violation named is the one a pass per rule would name first.
+    // `next` is where the embedded path goes after the slot just
+    // visited, so a path break after slot i shows at slot i + 1
+    // (slot 0 matches by construction: `next` starts at its pc).
+    const unsigned n = t.len();
+    const bool contiguous = !t.preprocessed;
     unsigned branches = 0;
     std::uint16_t flags = 0;
     int last_backward = -1;
-    for (unsigned i = 0; i < t.len(); ++i) {
-        const TraceInst &ti = t.insts[i];
-        if (!ti.inst.isCondBranch())
-            continue;
-        if (branches >= 16)
-            return Msg() << "trace-well-formed: more than 16 "
-                            "embedded branches";
-        if (ti.taken)
-            flags |= std::uint16_t(1) << branches;
-        ++branches;
-        if (ti.inst.isBackwardBranch())
-            last_backward = static_cast<int>(i);
+    unsigned broken = n;
+    Addr next = t.insts[0].pc;
+    unsigned i = 0;
+    for (const TraceInst &ti : t.insts) {
+        const Instruction &inst = ti.inst;
+        bool jumps = inst.isDirectJump();
+        if (inst.isCondBranch()) {
+            if (branches >= 16)
+                return Msg() << "trace-well-formed: more than 16 "
+                                "embedded branches";
+            if (ti.taken)
+                flags |= std::uint16_t(1) << branches;
+            ++branches;
+            if (inst.imm < 0)
+                last_backward = static_cast<int>(i);
+            jumps = ti.taken;
+        }
+        if (contiguous && broken == n) {
+            if (ti.pc != next)
+                broken = i - 1;
+            else if (i + 1 < n &&
+                     (hardTerminator(inst) || ti.srcPos != i))
+                broken = i;
+        }
+        next = Instruction::fallThrough(ti.pc) +
+               (jumps ? static_cast<Addr>(
+                            static_cast<std::int64_t>(inst.imm) *
+                            static_cast<std::int64_t>(instBytes))
+                      : 0);
+        ++i;
     }
     if (branches != t.id.numBranches)
         return Msg() << "trace-well-formed: id.numBranches "
@@ -132,22 +162,22 @@ traceWellFormed(const Trace &t, const SelectionPolicy &policy,
         return std::nullopt;
 
     // Path contiguity and hard terminators only in the last slot.
-    for (unsigned i = 0; i + 1 < t.len(); ++i) {
+    if (broken < n) {
+        i = broken;
         const TraceInst &ti = t.insts[i];
         if (hardTerminator(ti.inst))
             return Msg() << "trace-well-formed: "
                          << disassemble(ti.inst, ti.pc)
                          << " terminates mid-trace at slot " << i;
-        const Addr next = embeddedNext(ti);
-        if (t.insts[i + 1].pc != next)
+        const Addr succ = embeddedNext(ti);
+        if (t.insts[i + 1].pc != succ)
             return Msg() << "trace-well-formed: path break after "
                          << "slot " << i << " (0x" << std::hex << ti.pc
-                         << " -> expected 0x" << next << ", embedded 0x"
+                         << " -> expected 0x" << succ << ", embedded 0x"
                          << t.insts[i + 1].pc << ")";
-        if (ti.srcPos != i)
-            return Msg() << "trace-well-formed: srcPos "
-                         << unsigned(ti.srcPos) << " at slot " << i
-                         << " of an unpreprocessed trace";
+        return Msg() << "trace-well-formed: srcPos "
+                     << unsigned(ti.srcPos) << " at slot " << i
+                     << " of an unpreprocessed trace";
     }
 
     // End reason vs. the last instruction, and fall-through.
@@ -187,10 +217,10 @@ traceWellFormed(const Trace &t, const SelectionPolicy &policy,
                          << std::hex << t.fallThrough
                          << " set on a hard-terminated trace";
     } else {
-        if (t.fallThrough != embeddedNext(last))
+        if (t.fallThrough != next)
             return Msg() << "trace-well-formed: fallThrough 0x"
                          << std::hex << t.fallThrough
-                         << " != successor 0x" << embeddedNext(last)
+                         << " != successor 0x" << next
                          << " of the last instruction";
     }
 

@@ -89,6 +89,22 @@ class InlineVec
         elems_[size_++] = value;
     }
 
+    /**
+     * Grow by one and return the new, uninitialized last slot for
+     * the caller to fill field by field. Writing a record straight
+     * into its slot keeps the compiler from staging it on the stack
+     * first: a staged copy is stored with narrow (8/4/1-byte)
+     * writes and reloaded with wide ones, which cannot be
+     * store-forwarded and stalls every append on the trace-assembly
+     * hot path. Padding inside the slot keeps whatever it held.
+     */
+    T &
+    append_slot()
+    {
+        tpre_assert(size_ < N, "InlineVec capacity exceeded");
+        return elems_[size_++];
+    }
+
     void
     pop_back()
     {

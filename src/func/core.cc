@@ -21,7 +21,7 @@ FunctionalCore::save(mem::ByteWriter &w) const
     w.put(pc_);
     w.put(halted_);
     w.put(instCount_);
-    w.put(last_);
+    putRecord(w, last_);
 }
 
 void
@@ -33,7 +33,7 @@ FunctionalCore::restore(mem::ByteReader &r)
     pc_ = r.get<Addr>();
     halted_ = r.get<bool>();
     instCount_ = r.get<InstCount>();
-    last_ = r.get<DynInst>();
+    getRecord(r, last_);
 }
 
 void

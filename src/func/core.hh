@@ -198,6 +198,32 @@ struct DynInst
     Addr effAddr = 0;
 };
 
+/** Checkpoint codec: the 48-byte layout with zeroed padding. */
+inline void
+putRecord(mem::ByteWriter &w, const DynInst &dyn)
+{
+    static_assert(sizeof(DynInst) == 48, "wire layout changed");
+    w.put(dyn.pc);
+    putRecord(w, dyn.inst);
+    w.pad(4);
+    w.put(dyn.nextPc);
+    w.put(dyn.taken);
+    w.pad(7);
+    w.put(dyn.effAddr);
+}
+
+inline void
+getRecord(mem::ByteReader &r, DynInst &dyn)
+{
+    dyn.pc = r.get<Addr>();
+    getRecord(r, dyn.inst);
+    r.skip(4);
+    dyn.nextPc = r.get<Addr>();
+    dyn.taken = r.get<bool>();
+    r.skip(7);
+    dyn.effAddr = r.get<Addr>();
+}
+
 /**
  * Functional core: steps a Program one instruction at a time and
  * exposes the dynamic stream consumed by the timing simulators.

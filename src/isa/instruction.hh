@@ -22,6 +22,7 @@
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "mem/checkpoint.hh"
 
 namespace tpre
 {
@@ -81,12 +82,23 @@ struct Instruction
         return op >= Opcode::Beq && op <= Opcode::Bge;
     }
 
-    /** Any control transfer (branch, Jal, Jalr, Halt)? */
+    /**
+     * Any control transfer (branch, Jal, Jalr, Halt)? The control
+     * opcodes are contiguous (Beq .. Halt), so this is one range
+     * compare; the constructors' straight-line walk runs it on
+     * every instruction it scans.
+     */
     bool
     isControl() const
     {
-        return isCondBranch() || op == Opcode::Jal ||
-               op == Opcode::Jalr || op == Opcode::Halt;
+        static_assert(static_cast<int>(Opcode::Jal) ==
+                          static_cast<int>(Opcode::Bge) + 1 &&
+                      static_cast<int>(Opcode::Jalr) ==
+                          static_cast<int>(Opcode::Jal) + 1 &&
+                      static_cast<int>(Opcode::Halt) ==
+                          static_cast<int>(Opcode::Jalr) + 1,
+                      "control opcodes must be contiguous");
+        return op >= Opcode::Beq && op <= Opcode::Halt;
     }
 
     /** Direct jump (Jal)? */
@@ -178,6 +190,37 @@ struct Instruction
         }
     }
 };
+
+/**
+ * Checkpoint codec for a padded record: its in-memory layout
+ * (12 bytes) with the two trailing padding bytes written as zeros.
+ */
+inline void
+putRecord(mem::ByteWriter &w, const Instruction &inst)
+{
+    static_assert(sizeof(Instruction) == 12, "wire layout changed");
+    w.put(inst.op);
+    w.put(inst.rd);
+    w.put(inst.rs1);
+    w.put(inst.rs2);
+    w.put(inst.imm);
+    w.put(inst.sh1);
+    w.put(inst.sh2);
+    w.pad(2);
+}
+
+inline void
+getRecord(mem::ByteReader &r, Instruction &inst)
+{
+    inst.op = r.get<Opcode>();
+    inst.rd = r.get<RegIndex>();
+    inst.rs1 = r.get<RegIndex>();
+    inst.rs2 = r.get<RegIndex>();
+    inst.imm = r.get<std::int32_t>();
+    inst.sh1 = r.get<std::uint8_t>();
+    inst.sh2 = r.get<std::uint8_t>();
+    r.skip(2);
+}
 
 /** Encode a decoded instruction into its 32-bit word. */
 InstWord encode(const Instruction &inst);

@@ -2,10 +2,12 @@
  * @file
  * Relocatable checkpoints (DESIGN.md section 15). A Checkpoint is a
  * flat byte buffer holding a simulator's state with no absolute
- * pointers: POD fields and bulk arrays are memcpy'd in a fixed
- * order, and the one cross-object reference in the state (a
- * preconstruction constructor's region binding) travels as an index
- * that restore resolves back to a pointer. The buffer can be copied
+ * pointers: unpadded POD fields and bulk arrays are memcpy'd in a
+ * fixed order, padded records are written field by field with
+ * zeroed padding (so equal states give equal bytes), and the one
+ * cross-object reference in the state (a preconstruction
+ * constructor's region binding) travels as an index that restore
+ * resolves back to a pointer. The buffer can be copied
  * between threads or processes and restored into any freshly
  * constructed simulator whose configuration signature matches.
  *
@@ -41,6 +43,21 @@
 namespace tpre::mem
 {
 
+/**
+ * Can a T be checkpointed as its raw bytes? Only when it has no
+ * padding: padding holds whatever the memory held before, so two
+ * identical runs would write different checkpoints. Padded records
+ * get field-wise codecs that write zeros where the padding was.
+ * Floating-point values have no padding; they are exempt because
+ * +0.0 and -0.0 (and NaN payloads) make their representations
+ * non-unique, not because they can hold stale bytes.
+ */
+template <typename T>
+inline constexpr bool kRawField =
+    std::is_trivially_copyable_v<T> &&
+    (std::is_floating_point_v<T> ||
+     std::has_unique_object_representations_v<T>);
+
 class ByteWriter
 {
   public:
@@ -48,8 +65,10 @@ class ByteWriter
     void
     put(const T &value)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "checkpoint fields must be trivially copyable");
+        static_assert(kRawField<T>,
+                      "checkpoint fields must be trivially copyable "
+                      "and unpadded; give padded types a field-wise "
+                      "codec");
         putBytes(&value, sizeof(T));
     }
 
@@ -59,6 +78,9 @@ class ByteWriter
         const auto *p = static_cast<const std::uint8_t *>(data);
         buf_.insert(buf_.end(), p, p + n);
     }
+
+    /** Zeros standing in for a record's padding bytes. */
+    void pad(std::size_t n) { buf_.insert(buf_.end(), n, 0); }
 
     std::size_t size() const { return buf_.size(); }
     std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -81,8 +103,10 @@ class ByteReader
     T
     get()
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "checkpoint fields must be trivially copyable");
+        static_assert(kRawField<T>,
+                      "checkpoint fields must be trivially copyable "
+                      "and unpadded; give padded types a field-wise "
+                      "codec");
         T value;
         getBytes(&value, sizeof(T));
         return value;
@@ -91,11 +115,7 @@ class ByteReader
     void
     getBytes(void *out, std::size_t n)
     {
-        if (n > size_ - pos_) {
-            fatal("mem::Checkpoint: truncated payload (%zu bytes "
-                  "requested at offset %zu of %zu)",
-                  n, pos_, size_);
-        }
+        need(n);
         // An empty payload may have a null data_: memcpy from null
         // is undefined even for zero bytes.
         if (n == 0)
@@ -104,9 +124,27 @@ class ByteReader
         pos_ += n;
     }
 
+    /** Step over a record's padding bytes. */
+    void
+    skip(std::size_t n)
+    {
+        need(n);
+        pos_ += n;
+    }
+
     std::size_t remaining() const { return size_ - pos_; }
 
   private:
+    void
+    need(std::size_t n) const
+    {
+        if (n > size_ - pos_) {
+            fatal("mem::Checkpoint: truncated payload (%zu bytes "
+                  "requested at offset %zu of %zu)",
+                  n, pos_, size_);
+        }
+    }
+
     const std::uint8_t *data_;
     std::size_t size_;
     std::size_t pos_ = 0;

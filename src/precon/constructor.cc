@@ -25,12 +25,12 @@ PreconConstructor::save(mem::ByteWriter &w) const
     w.put(startPc_);
     builder_.save(w);
     w.put(pc_);
-    w.put(decisions_);
+    putRecord(w, decisions_);
     w.put<std::uint64_t>(decIndex_);
     w.put<std::uint32_t>(
         static_cast<std::uint32_t>(pendingPaths_.size()));
-    w.putBytes(pendingPaths_.data(),
-               pendingPaths_.size() * sizeof(DecisionPath));
+    for (const DecisionPath &path : pendingPaths_)
+        putRecord(w, path);
     w.put(forkBudget_);
     w.put<std::uint32_t>(
         static_cast<std::uint32_t>(callStack_.size()));
@@ -49,11 +49,11 @@ PreconConstructor::restore(mem::ByteReader &r, Region *region)
     startPc_ = r.get<Addr>();
     builder_.restore(r);
     pc_ = r.get<Addr>();
-    decisions_ = r.get<DecisionPath>();
+    getRecord(r, decisions_);
     decIndex_ = static_cast<std::size_t>(r.get<std::uint64_t>());
     pendingPaths_.resize(r.get<std::uint32_t>());
-    r.getBytes(pendingPaths_.data(),
-               pendingPaths_.size() * sizeof(DecisionPath));
+    for (DecisionPath &path : pendingPaths_)
+        getRecord(r, path);
     forkBudget_ = r.get<unsigned>();
     callStack_.resize(r.get<std::uint32_t>());
     r.getBytes(callStack_.data(), callStack_.size() * sizeof(Addr));
@@ -62,6 +62,7 @@ PreconConstructor::restore(mem::ByteReader &r, Region *region)
     pathActive_ = r.get<bool>();
     stalled_ = r.get<bool>();
     stallFill_ = static_cast<std::size_t>(r.get<std::uint64_t>());
+    residentLine_ = invalidAddr;
 }
 
 void
@@ -70,6 +71,7 @@ PreconConstructor::assign(Region &region, Addr startPc)
     tpre_assert(idle(), "assign() to a busy constructor");
     region_ = &region;
     ++region.workers;
+    residentLine_ = invalidAddr;
     startPc_ = startPc;
     pendingPaths_.clear();
     forkBudget_ = policy_.decisionDepth;
@@ -85,6 +87,7 @@ PreconConstructor::abandon()
         --region_->workers;
     }
     region_ = nullptr;
+    residentLine_ = invalidAddr;
     pathActive_ = false;
     stalled_ = false;
     if (builder_.active())
@@ -158,7 +161,13 @@ PreconConstructor::stepOne(PreconTraceSink &sink)
         stallFill_ = prefetch.numLines();
         return false; // stalled awaiting the line
     }
+    stepResident(sink);
+    return true;
+}
 
+void
+PreconConstructor::stepResident(PreconTraceSink &sink)
+{
     const Instruction &inst = program_.instAt(pc_);
     const Addr pc = pc_;
     bool dir = false;
@@ -230,7 +239,6 @@ PreconConstructor::stepOne(PreconTraceSink &sink)
 
     if (completed)
         finishTrace(resume_after_return, sink);
-    return true;
 }
 
 void
@@ -266,6 +274,43 @@ PreconConstructor::finishTrace(Addr resumeAfterReturn,
     pathDone(false);
 }
 
+bool
+PreconConstructor::resident(Addr addr)
+{
+    const PrefetchCache &prefetch = region_->prefetch();
+    const Addr line = prefetch.lineAddr(addr);
+    if (line == residentLine_)
+        return true;
+    if (!prefetch.contains(addr))
+        return false;
+    residentLine_ = line;
+    return true;
+}
+
+unsigned
+PreconConstructor::straightRun(unsigned budget)
+{
+    const Instruction *insts = &program_.instAt(pc_);
+    const unsigned limit = std::min(
+        {static_cast<unsigned>((program_.end() - pc_) / instBytes),
+         builder_.roomLeft(), budget});
+    // Instructions left on pc_'s line; the walk then proceeds a
+    // line at a time, probing residency once per line crossed.
+    unsigned line_end = instsPerLine -
+                        static_cast<unsigned>(
+                            (pc_ % lineBytes) / instBytes);
+    unsigned n = 0;
+    for (;;) {
+        const unsigned stop = std::min(limit, line_end);
+        while (n < stop && !insts[n].isControl())
+            ++n;
+        if (n < stop || stop == limit ||
+            !resident(pc_ + n * instBytes))
+            return n;
+        line_end += instsPerLine;
+    }
+}
+
 unsigned
 PreconConstructor::tick(unsigned instBudget, PreconTraceSink &sink)
 {
@@ -277,47 +322,30 @@ PreconConstructor::tick(unsigned instBudget, PreconTraceSink &sink)
         // noteNeededLine() already dedups and full() was false when
         // the stall was recorded.
         if (stalled_) {
-            if (region_->prefetch().numLines() == stallFill_)
+            if (parked())
                 break;
             stalled_ = false;
         }
         // Bulk path: append the straight-line run at pc_ in one go,
-        // clipped to the first control transfer, the end of the
-        // current trace, the tick budget, the image end, and the
-        // contiguous prefix of prefetched lines. Each clip leaves
-        // pc_ exactly where the per-instruction walk would stop, so
-        // the stall, fork and completion logic in stepOne() fires
-        // unchanged.
-        if (bulkWalk_ && program_.contains(pc_) &&
-            !program_.instAt(pc_).isControl()) {
-            const unsigned limit = std::min(
-                {static_cast<unsigned>(
-                     (program_.end() - pc_) / instBytes),
-                 builder_.roomLeft(), instBudget - processed});
-            const Instruction *insts = &program_.instAt(pc_);
-            const PrefetchCache &prefetch = region_->prefetch();
-            unsigned n = 0;
-            Addr line = invalidAddr;
-            while (n < limit) {
-                const Addr addr = pc_ + n * instBytes;
-                if (prefetch.lineAddr(addr) != line) {
-                    if (!prefetch.contains(addr))
-                        break;
-                    line = prefetch.lineAddr(addr);
-                }
-                if (insts[n].isControl())
-                    break;
-                ++n;
-            }
-            if (n > 0) {
-                const bool completed =
-                    builder_.appendRun(insts, pc_, n);
-                pc_ += n * instBytes;
-                processed += n;
-                if (completed)
-                    finishTrace(invalidAddr, sink);
+        // or step the control transfer that ends it. Each clip of
+        // straightRun() leaves pc_ exactly where the per-instruction
+        // walk would stop, and a pc_ outside the image or on a
+        // missing line takes stepOne(), so the stall, fork and
+        // completion logic fires unchanged.
+        if (bulkWalk_ && program_.contains(pc_) && resident(pc_)) {
+            const unsigned n = straightRun(instBudget - processed);
+            if (n == 0) {
+                stepResident(sink);
+                ++processed;
                 continue;
             }
+            const bool completed =
+                builder_.appendRun(&program_.instAt(pc_), pc_, n);
+            pc_ += n * instBytes;
+            processed += n;
+            if (completed)
+                finishTrace(invalidAddr, sink);
+            continue;
         }
         if (!stepOne(sink))
             break; // stalled on a line fetch

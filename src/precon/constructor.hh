@@ -69,6 +69,24 @@ struct DecisionPath
     }
 };
 
+/** Checkpoint codec: the 16-byte layout with zeroed padding. */
+inline void
+putRecord(mem::ByteWriter &w, const DecisionPath &path)
+{
+    static_assert(sizeof(DecisionPath) == 16, "wire layout changed");
+    w.put(path.bits);
+    w.put(path.len);
+    w.pad(7);
+}
+
+inline void
+getRecord(mem::ByteReader &r, DecisionPath &path)
+{
+    path.bits = r.get<std::uint64_t>();
+    path.len = r.get<std::uint8_t>();
+    r.skip(7);
+}
+
 /** One parallel trace-constructor unit. */
 class PreconConstructor
 {
@@ -90,6 +108,17 @@ class PreconConstructor
     Region *region() const { return region_; }
     /** Waiting on a prefetch line (engine no-op-cycle detection). */
     bool stalled() const { return stalled_; }
+
+    /**
+     * Stalled, and no line has reached the region since: a tick
+     * would stall again without side effects, so the engine skips
+     * the call.
+     */
+    bool
+    parked() const
+    {
+        return stalled_ && region_->prefetch().numLines() == stallFill_;
+    }
 
     /** Begin working on a trace start point of @p region. */
     void assign(Region &region, Addr startPc);
@@ -120,6 +149,21 @@ class PreconConstructor
     void beginPath(DecisionPath prescribed);
     /** Process one instruction; false = stalled on a line fetch. */
     bool stepOne(PreconTraceSink &sink);
+    /** stepOne() for a pc_ inside the image on a resident line. */
+    void stepResident(PreconTraceSink &sink);
+    /**
+     * Is the line holding @p addr in the region's prefetch cache?
+     * Answers from residentLine_ when it can, else probes the cache
+     * and remembers a hit.
+     */
+    bool resident(Addr addr);
+    /**
+     * Length of the straight-line run at pc_ (on a resident line):
+     * stops at the first control transfer, the end of the current
+     * trace, @p budget, the image end, or the first line that is
+     * not resident.
+     */
+    unsigned straightRun(unsigned budget);
     /** Builder completed a trace: emit it and end the path. */
     void finishTrace(Addr resumeAfterReturn, PreconTraceSink &sink);
     /** Current path ended: backtrack or finish the start point. */
@@ -158,6 +202,14 @@ class PreconConstructor
      */
     bool stalled_ = false;
     std::size_t stallFill_ = 0;
+    /**
+     * Bulk walk only: the last line resident() found in the
+     * region's prefetch cache. Lines never leave a region's cache
+     * (fill-up semantics), so the memo stays true for as long as
+     * region_ does; assign(), abandon() and restore() reset it.
+     * Not checkpointed: it is a cache of the region's line set.
+     */
+    Addr residentLine_ = invalidAddr;
 };
 
 } // namespace tpre

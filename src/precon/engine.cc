@@ -400,7 +400,9 @@ PreconstructionEngine::tickOneCycle(bool icachePortFree)
         busy |= issueFetch();
     busy |= assignConstructors();
     for (auto &constructor : constructors_) {
-        if (constructor.idle())
+        // A parked constructor's tick would process nothing and
+        // stay stalled: no progress, so skipping it is exact.
+        if (constructor.idle() || constructor.parked())
             continue;
         const bool was_stalled = constructor.stalled();
         const unsigned n = constructor.tick(
@@ -461,7 +463,7 @@ PreconstructionEngine::save(mem::ByteWriter &w) const
     w.put<std::uint32_t>(static_cast<std::uint32_t>(regions_.size()));
     for (const auto &region : regions_) {
         w.put(region->seq());
-        w.put(StartPoint{region->startAddr(), region->kind()});
+        putRecord(w, StartPoint{region->startAddr(), region->kind()});
         region->save(w);
     }
     w.put<std::uint32_t>(
@@ -486,8 +488,8 @@ PreconstructionEngine::save(mem::ByteWriter &w) const
     w.put(stats_);
     w.put<std::uint32_t>(
         static_cast<std::uint32_t>(bufferedLog_.size()));
-    w.putBytes(bufferedLog_.data(),
-               bufferedLog_.size() * sizeof(TraceId));
+    for (const TraceId &id : bufferedLog_)
+        putRecord(w, id);
 }
 
 void
@@ -503,7 +505,8 @@ PreconstructionEngine::restore(mem::ByteReader &r)
     const auto numRegions = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < numRegions; ++i) {
         const auto seq = r.get<std::uint64_t>();
-        const auto origin = r.get<StartPoint>();
+        StartPoint origin;
+        getRecord(r, origin);
         regions_.push_back(regionPool_.make(
             seq, origin, config_.prefetchCacheInsts, config_.policy,
             config_.arena));
@@ -534,23 +537,8 @@ PreconstructionEngine::restore(mem::ByteReader &r)
     now_ = r.get<Cycle>();
     stats_ = r.get<Stats>();
     bufferedLog_.resize(r.get<std::uint32_t>());
-    r.getBytes(bufferedLog_.data(),
-               bufferedLog_.size() * sizeof(TraceId));
-}
-
-void
-PreconstructionEngine::clear()
-{
-    for (auto &constructor : constructors_)
-        constructor.abandon();
-    regions_.clear();
-    buffers_.clear();
-    stack_.clear();
-    stats_ = Stats();
-    regionSig_ = 0;
-    pendingFetchCount_ = 0;
-    nextFetchReady_ = 0;
-    now_ = 0;
+    for (TraceId &id : bufferedLog_)
+        getRecord(r, id);
 }
 
 } // namespace tpre

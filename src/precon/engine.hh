@@ -190,8 +190,6 @@ class PreconstructionEngine : public PreconTraceSink
     const PreconstructionBuffers &buffers() const { return buffers_; }
     std::size_t activeRegions() const { return regions_.size(); }
 
-    void clear();
-
     /**
      * Checkpoint/restore the full engine state: buffers, start
      * point stack, every active region (reconstructed from its

@@ -35,6 +35,24 @@ struct StartPoint
     StartPointKind kind = StartPointKind::CallReturn;
 };
 
+/** Checkpoint codec: the 16-byte layout with zeroed padding. */
+inline void
+putRecord(mem::ByteWriter &w, const StartPoint &sp)
+{
+    static_assert(sizeof(StartPoint) == 16, "wire layout changed");
+    w.put(sp.addr);
+    w.put(sp.kind);
+    w.pad(7);
+}
+
+inline void
+getRecord(mem::ByteReader &r, StartPoint &sp)
+{
+    sp.addr = r.get<Addr>();
+    sp.kind = r.get<StartPointKind>();
+    r.skip(7);
+}
+
 /** Fixed-depth newest-first stack with completed-region memory. */
 class StartPointStack
 {

@@ -390,7 +390,8 @@ FastSim::checkpoint(mem::CheckpointKind kind) const
     // and is mirrored exactly by forkFrom().
     core_.save(w);
     w.put<std::uint32_t>(static_cast<std::uint32_t>(window_.size()));
-    w.putBytes(window_.data(), window_.size() * sizeof(DynInst));
+    for (const DynInst &dyn : window_)
+        putRecord(w, dyn);
     segmenter_.save(w);
     bimodal_.save(w);
     if (kind == mem::CheckpointKind::Full) {
@@ -403,11 +404,11 @@ FastSim::checkpoint(mem::CheckpointKind kind) const
         w.put<std::uint32_t>(
             static_cast<std::uint32_t>(seenTraces_.size()));
         for (const TraceId &id : seenTraces_)
-            w.put(id);
+            putRecord(w, id);
         w.put<std::uint32_t>(
             static_cast<std::uint32_t>(everBuffered_.size()));
         for (const TraceId &id : everBuffered_)
-            w.put(id);
+            putRecord(w, id);
     }
     mem::Checkpoint cp;
     cp.kind = kind;
@@ -434,7 +435,8 @@ FastSim::forkFrom(const mem::Checkpoint &checkpoint)
     mem::ByteReader r(checkpoint.bytes);
     core_.restore(r);
     window_.resize(r.get<std::uint32_t>());
-    r.getBytes(window_.data(), window_.size() * sizeof(DynInst));
+    for (DynInst &dyn : window_)
+        getRecord(r, dyn);
     segmenter_.restore(r);
     bimodal_.restore(r);
     if (checkpoint.kind == mem::CheckpointKind::Functional) {
@@ -462,12 +464,18 @@ FastSim::forkFrom(const mem::Checkpoint &checkpoint)
     stats_ = r.get<FastSimStats>();
     seenTraces_.clear();
     const auto numSeen = r.get<std::uint32_t>();
-    for (std::uint32_t i = 0; i < numSeen; ++i)
-        seenTraces_.insert(r.get<TraceId>());
+    for (std::uint32_t i = 0; i < numSeen; ++i) {
+        TraceId id;
+        getRecord(r, id);
+        seenTraces_.insert(id);
+    }
     everBuffered_.clear();
     const auto numBuffered = r.get<std::uint32_t>();
-    for (std::uint32_t i = 0; i < numBuffered; ++i)
-        everBuffered_.insert(r.get<TraceId>());
+    for (std::uint32_t i = 0; i < numBuffered; ++i) {
+        TraceId id;
+        getRecord(r, id);
+        everBuffered_.insert(id);
+    }
     if (r.remaining() != 0) {
         fatal("FastSim::forkFrom: %zu trailing bytes in a full "
               "checkpoint", r.remaining());

@@ -59,7 +59,9 @@ class TraceBuilder
      *
      * Defined inline: both the fill unit and every preconstruction
      * constructor call this once per path instruction, so it is the
-     * single hottest function in the simulator.
+     * single hottest function in the simulator. The record is
+     * written field by field into its body slot (see
+     * InlineVec::append_slot) rather than pushed as a temporary.
      *
      * @return true when the trace is complete after this
      *         instruction; retrieve it with take().
@@ -82,9 +84,12 @@ class TraceBuilder
                 ? taken
                 : inst.isDirectJump() || inst.isIndirectJump() ||
                       inst.isReturn();
-        trace_.insts.push_back(
-            {pc, inst, stored_taken,
-             static_cast<std::uint8_t>(len())});
+        const auto pos = static_cast<std::uint8_t>(len());
+        TraceInst &slot = trace_.insts.append_slot();
+        slot.pc = pc;
+        slot.inst = inst;
+        slot.taken = stored_taken;
+        slot.srcPos = pos;
         nextPc_ = nextPc;
 
         if (inst.isCondBranch()) {
@@ -173,9 +178,11 @@ class TraceBuilder
                         "appendRun() with a control transfer");
             // stored_taken for non-control instructions normalizes
             // to false, exactly as append() stores it.
-            trace_.insts.push_back(
-                {pc, insts[i], false,
-                 static_cast<std::uint8_t>(idx++)});
+            TraceInst &slot = trace_.insts.append_slot();
+            slot.pc = pc;
+            slot.inst = insts[i];
+            slot.taken = false;
+            slot.srcPos = static_cast<std::uint8_t>(idx++);
             pc += instBytes;
         }
         nextPc_ = pc;

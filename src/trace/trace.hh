@@ -71,6 +71,9 @@ struct TraceId
     void rehash() const { hash_ = computeHash(); }
 
   private:
+    friend void putRecord(mem::ByteWriter &w, const TraceId &id);
+    friend void getRecord(mem::ByteReader &r, TraceId &id);
+
     /**
      * Sentinel for "not yet computed". computeHash() can produce 0
      * for one adversarial identity; that id merely recomputes per
@@ -145,18 +148,64 @@ struct Trace
 };
 
 /**
- * Checkpoint codec for a Trace: every field is POD except the
- * inline body, which travels as a length-prefixed bulk copy of its
- * live prefix. The cached id hash rides along inside TraceId (it is
- * position-independent), so no rehash is needed on restore.
+ * Checkpoint codecs for the padded TraceId and TraceInst records:
+ * their in-memory layouts with zeros where the padding is. The
+ * cached id hash rides along (it is position-independent), so no
+ * rehash is needed on restore.
+ */
+inline void
+putRecord(mem::ByteWriter &w, const TraceId &id)
+{
+    static_assert(sizeof(TraceId) == 24, "wire layout changed");
+    w.put(id.startPc);
+    w.put(id.branchFlags);
+    w.put(id.numBranches);
+    w.pad(5);
+    w.put(id.hash_);
+}
+
+inline void
+getRecord(mem::ByteReader &r, TraceId &id)
+{
+    id.startPc = r.get<Addr>();
+    id.branchFlags = r.get<std::uint16_t>();
+    id.numBranches = r.get<std::uint8_t>();
+    r.skip(5);
+    id.hash_ = r.get<std::uint64_t>();
+}
+
+inline void
+putRecord(mem::ByteWriter &w, const TraceInst &ti)
+{
+    static_assert(sizeof(TraceInst) == 24, "wire layout changed");
+    w.put(ti.pc);
+    putRecord(w, ti.inst);
+    w.put(ti.taken);
+    w.put(ti.srcPos);
+    w.pad(2);
+}
+
+inline void
+getRecord(mem::ByteReader &r, TraceInst &ti)
+{
+    ti.pc = r.get<Addr>();
+    getRecord(r, ti.inst);
+    ti.taken = r.get<bool>();
+    ti.srcPos = r.get<std::uint8_t>();
+    r.skip(2);
+}
+
+/**
+ * Checkpoint codec for a Trace: the id, then the inline body as a
+ * length-prefixed run of its live prefix, then the scalar fields.
  */
 inline void
 saveTrace(mem::ByteWriter &w, const Trace &trace)
 {
-    w.put(trace.id);
+    putRecord(w, trace.id);
     w.put<std::uint8_t>(static_cast<std::uint8_t>(trace.len()));
     for (const TraceInst &ti : trace.insts)
-        w.put(ti);
+        putRecord(w, ti);
     w.put(trace.fallThrough);
     w.put(trace.endReason);
     w.put(trace.preprocessed);
@@ -167,14 +216,14 @@ saveTrace(mem::ByteWriter &w, const Trace &trace)
 inline void
 restoreTrace(mem::ByteReader &r, Trace &trace)
 {
-    trace.id = r.get<TraceId>();
+    getRecord(r, trace.id);
     const auto n = r.get<std::uint8_t>();
     if (n > kMaxTraceLen)
         fatal("restoreTrace: body length %u exceeds %u", n,
               kMaxTraceLen);
     trace.insts.clear();
     for (std::uint8_t i = 0; i < n; ++i)
-        trace.insts.push_back(r.get<TraceInst>());
+        getRecord(r, trace.insts.append_slot());
     trace.fallThrough = r.get<Addr>();
     trace.endReason = r.get<TraceEndReason>();
     trace.preprocessed = r.get<bool>();

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "check/diff.hh"
 #include "check/fuzz.hh"
 #include "check/invariants.hh"
@@ -140,6 +142,308 @@ TEST(TracesMatch, DetectsServedContentDrift)
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(failureCategory(*v), "served-trace");
 }
+
+// ---------------------------------------------------------------
+// Every rejection class of traceWellFormed() and tracesMatch(),
+// each pinned to its diagnostic text.
+// ---------------------------------------------------------------
+
+Instruction
+addiInst()
+{
+    Instruction inst;
+    inst.op = Opcode::Addi;
+    inst.rd = 1;
+    inst.rs1 = 1;
+    inst.imm = 1;
+    return inst;
+}
+
+Instruction
+bneInst(std::int32_t offset)
+{
+    Instruction inst;
+    inst.op = Opcode::Bne;
+    inst.rs1 = 1;
+    inst.rs2 = 2;
+    inst.imm = offset;
+    return inst;
+}
+
+/**
+ * Assemble a trace through the shared TraceBuilder from (inst,
+ * taken) steps starting at @p pc, each following the previous one's
+ * embedded successor. The checkers read only the trace, so the body
+ * need not come from a program image.
+ */
+Trace
+assemble(Addr pc, const std::vector<std::pair<Instruction, bool>> &steps)
+{
+    TraceBuilder builder;
+    builder.begin(pc);
+    bool done = false;
+    for (const auto &[inst, taken] : steps) {
+        EXPECT_FALSE(done) << "steps continue past the trace end";
+        Addr next = Instruction::fallThrough(pc);
+        if (inst.isDirectJump() || (inst.isCondBranch() && taken))
+            next = inst.targetOf(pc);
+        else if (inst.isIndirectJump() || inst.op == Opcode::Halt)
+            next = invalidAddr;
+        done = builder.append(inst, pc, taken, next);
+        pc = next;
+    }
+    EXPECT_TRUE(done) << "steps end before the trace does";
+    return builder.take();
+}
+
+std::vector<std::pair<Instruction, bool>>
+addis(unsigned n)
+{
+    return std::vector<std::pair<Instruction, bool>>(
+        n, {addiInst(), false});
+}
+
+/**
+ * 16 instructions at 0x1000, MaxLength: addi, a taken forward bne
+ * to 0x1014, then addis up to 0x1048; falls through to 0x104c.
+ */
+Trace
+straightTrace()
+{
+    auto steps = addis(1);
+    steps.push_back({bneInst(3), true});
+    for (const auto &step : addis(14))
+        steps.push_back(step);
+    return assemble(0x1000, steps);
+}
+
+/** addi, addi, return at 0x2000: a hard-terminated trace. */
+Trace
+returnTrace()
+{
+    auto steps = addis(2);
+    steps.push_back({retInst(), false});
+    return assemble(0x2000, steps);
+}
+
+/**
+ * 15 instructions at 0x3000, Alignment: a taken backward bne in
+ * slot 2 (to 0x2f0c) puts the target at 3 + 4 * 3.
+ */
+Trace
+loopTrace()
+{
+    auto steps = addis(2);
+    steps.push_back({bneInst(-64), true});
+    for (const auto &step : addis(12))
+        steps.push_back(step);
+    return assemble(0x3000, steps);
+}
+
+TEST(TraceWellFormed, BaseTracesAreWellFormed)
+{
+    for (const Trace &t : {straightTrace(), returnTrace(), loopTrace()})
+        EXPECT_FALSE(check::traceWellFormed(t).has_value());
+    EXPECT_EQ(straightTrace().endReason, TraceEndReason::MaxLength);
+    EXPECT_EQ(straightTrace().fallThrough, 0x104cu);
+    EXPECT_EQ(returnTrace().endReason, TraceEndReason::Return);
+    EXPECT_EQ(loopTrace().endReason, TraceEndReason::Alignment);
+    EXPECT_EQ(loopTrace().len(), 15u);
+}
+
+TEST(TraceWellFormed, EachRejectionClassKeepsItsMessage)
+{
+    // "More than 16 embedded branches" has no row: the 17th branch
+    // needs a 17th slot, which a trace body cannot hold.
+    static_assert(TraceBody::capacity() <= 16);
+
+    struct Mutant
+    {
+        const char *rejects;
+        Trace (*base)();
+        std::function<void(Trace &)> mutate;
+        /** The expected diagnostic text; empty when accepted. */
+        std::string want;
+        SelectionPolicy policy = {};
+        bool partial = false;
+    };
+    SelectionPolicy cap8;
+    cap8.maxLen = 8;
+    const std::vector<Mutant> mutants = {
+        {"invalid id", straightTrace,
+         [](Trace &t) { t.id.startPc = invalidAddr; },
+         "trace-well-formed: invalid TraceId"},
+        {"empty", straightTrace, [](Trace &t) { t.insts.clear(); },
+         "trace-well-formed: empty trace @0x1000"},
+        {"over-length", straightTrace, [](Trace &) {},
+         "trace-well-formed: length 16 exceeds policy cap 8", cap8},
+        {"startPc mismatch", straightTrace,
+         [](Trace &t) { t.id.startPc = 0x2000; },
+         "trace-well-formed: id.startPc 0x2000 != first inst pc "
+         "0x1000"},
+        {"numBranches drift", straightTrace,
+         [](Trace &t) { ++t.id.numBranches; },
+         "trace-well-formed: id.numBranches 2 but trace embeds 1 "
+         "conditional branches"},
+        {"branchFlags drift", straightTrace,
+         [](Trace &t) { t.id.branchFlags = 0; },
+         "trace-well-formed: id.branchFlags 0x0 disagree with "
+         "embedded outcomes 0x1"},
+        {"mid-trace hard terminator", straightTrace,
+         [](Trace &t) { t.insts[3].inst = retInst(); },
+         "trace-well-formed: jalr  r0, 0(r31) terminates mid-trace "
+         "at slot 3"},
+        {"path break", straightTrace,
+         [](Trace &t) { t.insts[2].pc += 4; },
+         "trace-well-formed: path break after slot 1 (0x1004 -> "
+         "expected 0x1014, embedded 0x1018)"},
+        {"srcPos", straightTrace,
+         [](Trace &t) { t.insts[2].srcPos = 7; },
+         "trace-well-formed: srcPos 7 at slot 2 of an unpreprocessed "
+         "trace"},
+        {"endReason Return", straightTrace,
+         [](Trace &t) { t.endReason = TraceEndReason::Return; },
+         "trace-well-formed: endReason Return but last inst is "
+         "addi  r1, r1, 1"},
+        {"endReason IndirectJump", straightTrace,
+         [](Trace &t) { t.endReason = TraceEndReason::IndirectJump; },
+         "trace-well-formed: endReason IndirectJump but last inst is "
+         "addi  r1, r1, 1"},
+        {"endReason IndirectJump on a return", returnTrace,
+         [](Trace &t) { t.endReason = TraceEndReason::IndirectJump; },
+         "trace-well-formed: endReason IndirectJump but last inst is "
+         "jalr  r0, 0(r31)"},
+        {"endReason Halt", straightTrace,
+         [](Trace &t) { t.endReason = TraceEndReason::Halt; },
+         "trace-well-formed: endReason Halt but last inst is "
+         "addi  r1, r1, 1"},
+        {"endReason MaxLength on a hard terminator", returnTrace,
+         [](Trace &t) { t.endReason = TraceEndReason::MaxLength; },
+         "trace-well-formed: length-based endReason but last inst "
+         "jalr  r0, 0(r31) is a hard terminator"},
+        {"endReason Alignment on a hard terminator", returnTrace,
+         [](Trace &t) { t.endReason = TraceEndReason::Alignment; },
+         "trace-well-formed: length-based endReason but last inst "
+         "jalr  r0, 0(r31) is a hard terminator"},
+        {"fallThrough on a hard-terminated trace", returnTrace,
+         [](Trace &t) { t.fallThrough = 0x2000; },
+         "trace-well-formed: fallThrough 0x2000 set on a "
+         "hard-terminated trace"},
+        {"wrong fallThrough", straightTrace,
+         [](Trace &t) { t.fallThrough += 4; },
+         "trace-well-formed: fallThrough 0x1050 != successor 0x104c "
+         "of the last instruction"},
+        {"rule-2/3 length", straightTrace,
+         [](Trace &t) {
+             t.insts.pop_back();
+             t.fallThrough -= 4;
+         },
+         "trace-well-formed: length 15 violates the selection rules "
+         "(target 16, lastBackward -1, granule 4)"},
+        {"rule-2/3 length after a backward branch", loopTrace,
+         [](Trace &t) {
+             t.insts.pop_back();
+             t.fallThrough -= 4;
+         },
+         "trace-well-formed: length 14 violates the selection rules "
+         "(target 15, lastBackward 2, granule 4)"},
+        {"rule-2/3 endReason", straightTrace,
+         [](Trace &t) { t.endReason = TraceEndReason::Alignment; },
+         "trace-well-formed: endReason 1 but the selection rules "
+         "demand 0"},
+        {"rule-2/3 endReason after a backward branch", loopTrace,
+         [](Trace &t) { t.endReason = TraceEndReason::MaxLength; },
+         "trace-well-formed: endReason 0 but the selection rules "
+         "demand 1"},
+        {"partial trace may stop short", straightTrace,
+         [](Trace &t) {
+             t.insts.pop_back();
+             t.fallThrough -= 4;
+         },
+         "", {}, true},
+        {"preprocessed trace skips contiguity", straightTrace,
+         [](Trace &t) {
+             t.preprocessed = true;
+             t.insts[2].pc += 4;
+             t.insts[3].srcPos = 9;
+             t.insts[5].inst = retInst();
+             t.fallThrough = 0;
+             t.endReason = TraceEndReason::Halt;
+         },
+         ""},
+        {"preprocessed trace keeps identity checks", straightTrace,
+         [](Trace &t) {
+             t.preprocessed = true;
+             ++t.id.numBranches;
+         },
+         "trace-well-formed: id.numBranches 2 but trace embeds 1 "
+         "conditional branches"},
+    };
+    for (const Mutant &m : mutants) {
+        SCOPED_TRACE(m.rejects);
+        Trace t = m.base();
+        m.mutate(t);
+        const Violation v =
+            check::traceWellFormed(t, m.policy, m.partial);
+        if (m.want.empty()) {
+            EXPECT_FALSE(v.has_value()) << *v;
+        } else {
+            ASSERT_TRUE(v.has_value());
+            EXPECT_EQ(*v, m.want);
+        }
+    }
+}
+
+TEST(TracesMatch, EachRejectionClassKeepsItsMessage)
+{
+    struct Mutant
+    {
+        const char *rejects;
+        std::function<void(Trace &)> mutate;
+        std::string want;
+    };
+    const std::vector<Mutant> mutants = {
+        {"identity", [](Trace &t) { t.id.branchFlags = 0; },
+         "served-trace: identity mismatch (@0x1000 flags 0x1/1 vs "
+         "@0x1000 flags 0x0/1)"},
+        {"length",
+         [](Trace &t) {
+             t.insts.pop_back();
+         },
+         "served-trace: @0x1000 length 15 served for demanded "
+         "length 16"},
+        {"slot",
+         [](Trace &t) { t.insts[4].inst.imm = 2; },
+         "served-trace: @0x1000 slot 4 demanded 'addi  r1, r1, 1' "
+         "(pc 0x101c, taken 0) but served 'addi  r1, r1, 2' (pc "
+         "0x101c, taken 0)"},
+        {"fallThrough", [](Trace &t) { t.fallThrough = 0x2000; },
+         "served-trace: @0x1000 fallThrough 0x2000 served, 0x104c "
+         "demanded"},
+        {"preprocessed served trace skips content",
+         [](Trace &t) {
+             t.preprocessed = true;
+             t.insts.pop_back();
+             t.insts[0].taken = true;
+         },
+         ""},
+    };
+    const Trace demanded = straightTrace();
+    EXPECT_FALSE(check::tracesMatch(demanded, demanded).has_value());
+    for (const Mutant &m : mutants) {
+        SCOPED_TRACE(m.rejects);
+        Trace served = demanded;
+        m.mutate(served);
+        const Violation v = check::tracesMatch(demanded, served);
+        if (m.want.empty()) {
+            EXPECT_FALSE(v.has_value()) << *v;
+        } else {
+            ASSERT_TRUE(v.has_value());
+            EXPECT_EQ(*v, m.want);
+        }
+    }
+}
+
 
 TEST(StreamBalance, DetectsUnmatchedReturn)
 {

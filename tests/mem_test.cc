@@ -23,6 +23,7 @@
 #include "mem/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "tproc/fast_sim.hh"
+#include "workload/generator.hh"
 
 namespace tpre
 {
@@ -359,6 +360,34 @@ TEST(CheckpointForkTest, ArenaBackedForkAlsoMatches)
         const check::Violation v = check::fastStatsEqual(ref, got);
         EXPECT_FALSE(v) << *v;
     }
+}
+
+TEST(CheckpointTest, IdenticalRunsGiveIdenticalBytes)
+{
+    // Checkpoints hold no stale padding: two identically configured
+    // runs, alive side by side so their heaps differ, must
+    // serialize to the same bytes. Precon and diagnostics are on so
+    // every padded record type (trace bodies and ids, the dynamic
+    // window, decision paths, start points, cache lines) is written.
+    WorkloadGenerator gen(specint95Profile("gcc"));
+    const GeneratedWorkload wl = gen.generate();
+    FastSimConfig cfg;
+    cfg.preconEnabled = true;
+    cfg.diagnostics = true;
+
+    FastSim first(wl.program, cfg);
+    FastSim second(wl.program, cfg);
+    first.runUntil(200000);
+    second.runUntil(200000);
+    const std::vector<std::uint8_t> a =
+        first.checkpoint(mem::CheckpointKind::Full).serialize();
+    const std::vector<std::uint8_t> b =
+        second.checkpoint(mem::CheckpointKind::Full).serialize();
+    ASSERT_EQ(a.size(), b.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        differing += a[i] != b[i];
+    EXPECT_EQ(differing, 0u) << "of " << a.size() << " bytes";
 }
 
 // --- Warm-state reuse through the Simulator ---------------------

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 
+#include "common/random.hh"
 #include "isa/builder.hh"
 #include "precon/engine.hh"
 #include "tproc/fast_sim.hh"
@@ -387,6 +389,305 @@ TEST(RegionTest, FinishClearsWork)
     EXPECT_TRUE(r.worklistEmpty());
     r.addStartPoint(0x5000); // ignored once done
     EXPECT_TRUE(r.worklistEmpty());
+}
+
+// ---------------------------------------------------------------
+// Constructor walks: the bulk walk (block cache on) against the
+// scalar reference walk, in lockstep.
+// ---------------------------------------------------------------
+
+/** Keeps every emitted trace, stamped with the current tick. */
+struct RecordingSink : PreconTraceSink
+{
+    Cycle now = 0;
+    std::vector<Trace> traces;
+
+    bool
+    emitTrace(Region &, Trace &trace) override
+    {
+        trace.buildCycle = now;
+        traces.push_back(trace);
+        return true;
+    }
+};
+
+/**
+ * A bulk-walk and a scalar-walk constructor driven by the same
+ * operations, each over its own copy of every region. After each
+ * tick both must have processed the same instructions, stalled at
+ * the same line and be equally busy; at the end both must have
+ * emitted the same traces in the same ticks.
+ */
+class LockstepWalk
+{
+  public:
+    LockstepWalk(const Program &program, const BimodalPredictor &bp,
+                 const PreconPolicy &policy = {})
+        : program_(program), bimodal_(bp), policy_(policy)
+    {
+        for (bool bulk : {true, false})
+            sides_.push_back(std::make_unique<Side>(program, bp,
+                                                    policy, bulk));
+    }
+
+    /** New region (empty prefetch cache) on both sides. */
+    std::size_t
+    addRegion(Addr start)
+    {
+        for (auto &side : sides_)
+            side->regions.push_back(std::make_unique<Region>(
+                side->regions.size() + 1,
+                StartPoint{start, StartPointKind::CallReturn}, 256,
+                policy_));
+        return sides_[0]->regions.size() - 1;
+    }
+
+    /** A line fill lands, as the engine's completeFetches() does it. */
+    void
+    deliver(std::size_t region, Addr line)
+    {
+        for (auto &side : sides_) {
+            Region &r = *side->regions[region];
+            if (!r.prefetch().insertLine(line))
+                r.finish(RegionEndReason::PrefetchFull);
+            std::erase(r.neededLines, line);
+        }
+    }
+
+    void
+    assign(std::size_t region, Addr pc)
+    {
+        for (auto &side : sides_)
+            side->ctor.assign(*side->regions[region], pc);
+    }
+
+    /** Take the region's next start point on both sides. */
+    bool
+    assignNext(std::size_t region)
+    {
+        Region &r = *sides_[0]->regions[region];
+        if (r.state() != RegionState::Active || r.worklistEmpty())
+            return false;
+        const Addr pc = r.takeStartPoint();
+        EXPECT_EQ(sides_[1]->regions[region]->takeStartPoint(), pc);
+        for (auto &side : sides_)
+            side->ctor.assign(*side->regions[region], pc);
+        return true;
+    }
+
+    /**
+     * Replace each side's constructor state with that of a fresh
+     * constructor of the same kind assigned to (@p region, @p pc),
+     * through save()/restore().
+     */
+    void
+    restoreFresh(std::size_t region, Addr pc)
+    {
+        for (auto &side : sides_) {
+            Region &r = *side->regions[region];
+            PreconConstructor fresh(program_, bimodal_, policy_,
+                                    side->bulk);
+            fresh.assign(r, pc);
+            mem::ByteWriter w;
+            fresh.save(w);
+            const std::vector<std::uint8_t> bytes = w.take();
+            mem::ByteReader reader(bytes);
+            side->ctor.restore(reader, &r);
+        }
+    }
+
+    unsigned
+    tick(unsigned budget = 4)
+    {
+        ++now_;
+        unsigned processed[2];
+        for (std::size_t i = 0; i < 2; ++i) {
+            sides_[i]->sink.now = now_;
+            processed[i] = sides_[i]->ctor.tick(budget, sides_[i]->sink);
+        }
+        const PreconConstructor &bulk = sides_[0]->ctor;
+        const PreconConstructor &scalar = sides_[1]->ctor;
+        EXPECT_EQ(processed[0], processed[1]) << "tick " << now_;
+        EXPECT_EQ(bulk.idle(), scalar.idle()) << "tick " << now_;
+        EXPECT_EQ(bulk.stalled(), scalar.stalled()) << "tick " << now_;
+        for (std::size_t r = 0; r < sides_[0]->regions.size(); ++r) {
+            EXPECT_EQ(sides_[0]->regions[r]->neededLines,
+                      sides_[1]->regions[r]->neededLines)
+                << "tick " << now_;
+        }
+        return processed[0];
+    }
+
+    /** Work through the region's start points until none is left. */
+    void
+    drain(std::size_t region)
+    {
+        while (!idle() || assignNext(region))
+            tick();
+    }
+
+    bool idle() const { return sides_[0]->ctor.idle(); }
+    bool stalled() const { return sides_[0]->ctor.stalled(); }
+    Region &region(std::size_t r) { return *sides_[0]->regions[r]; }
+    const std::vector<Trace> &traces() const
+    { return sides_[0]->sink.traces; }
+
+    void
+    expectSameTraces() const
+    {
+        const auto &a = sides_[0]->sink.traces;
+        const auto &b = sides_[1]->sink.traces;
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            SCOPED_TRACE("trace " + std::to_string(i));
+            EXPECT_EQ(a[i].id, b[i].id);
+            EXPECT_EQ(a[i].buildCycle, b[i].buildCycle);
+            EXPECT_EQ(a[i].fallThrough, b[i].fallThrough);
+            EXPECT_EQ(a[i].endReason, b[i].endReason);
+            ASSERT_EQ(a[i].len(), b[i].len());
+            for (unsigned k = 0; k < a[i].len(); ++k) {
+                EXPECT_EQ(a[i].insts[k].pc, b[i].insts[k].pc);
+                EXPECT_EQ(a[i].insts[k].inst, b[i].insts[k].inst);
+                EXPECT_EQ(a[i].insts[k].taken, b[i].insts[k].taken);
+                EXPECT_EQ(a[i].insts[k].srcPos, b[i].insts[k].srcPos);
+            }
+        }
+    }
+
+  private:
+    struct Side
+    {
+        Side(const Program &program, const BimodalPredictor &bp,
+             const PreconPolicy &policy, bool bulkWalk)
+            : bulk(bulkWalk), ctor(program, bp, policy, bulkWalk)
+        {}
+
+        bool bulk;
+        std::vector<std::unique_ptr<Region>> regions;
+        PreconConstructor ctor;
+        RecordingSink sink;
+    };
+
+    const Program &program_;
+    const BimodalPredictor &bimodal_;
+    PreconPolicy policy_;
+    std::vector<std::unique_ptr<Side>> sides_;
+    Cycle now_ = 0;
+};
+
+/** 40 ALU instructions, then a return: traces of 16, 16 and 9. */
+Program
+straightLineProgram()
+{
+    ProgramBuilder b;
+    for (int i = 0; i < 40; ++i)
+        b.addi(1, 1, 1);
+    b.ret();
+    b.halt();
+    return b.build();
+}
+
+TEST(ConstructorWalkTest, LinesLandingMidWalkOnGeneratedCode)
+{
+    // Regions over a generated program, with needed lines landing
+    // late and unrequested lines landing while the walk is running,
+    // so a run keeps crossing from resident into freshly filled
+    // lines.
+    WorkloadGenerator gen(specint95Profile("gcc"));
+    const GeneratedWorkload wl = gen.generate();
+    const Program &program = wl.program;
+    BimodalPredictor bp;
+    Rng rng(5);
+    // Make some branches strongly biased, leave others to fork.
+    for (Addr pc = program.base(); pc < program.end(); pc += instBytes)
+        if (rng.nextBool(0.5))
+            for (int k = 0; k < 3; ++k)
+                bp.update(pc, rng.nextBool(0.5));
+
+    LockstepWalk walk(program, bp);
+    const std::size_t numInsts =
+        (program.end() - program.base()) / instBytes;
+    for (int r = 0; r < 40; ++r) {
+        const Addr start =
+            program.base() + rng.nextIndex(numInsts) * instBytes;
+        const std::size_t region = walk.addRegion(start);
+        for (int guard = 0; guard < 5000; ++guard) {
+            if (walk.idle() && !walk.assignNext(region))
+                break;
+            walk.tick(1 + static_cast<unsigned>(rng.nextBelow(6)));
+            Region &reg = walk.region(region);
+            if (reg.neededLines.empty())
+                continue;
+            const Addr needed = reg.neededLines.front();
+            if (rng.nextBool(0.4))
+                walk.deliver(region, needed);
+            if (rng.nextBool(0.3))
+                walk.deliver(region, needed + lineBytes);
+        }
+    }
+    walk.expectSameTraces();
+    EXPECT_GT(walk.traces().size(), 200u) << walk.traces().size();
+}
+
+TEST(ConstructorWalkTest, ReassignedToARegionMissingTheRememberedLine)
+{
+    const Program program = straightLineProgram();
+    BimodalPredictor bp;
+    LockstepWalk walk(program, bp);
+
+    // Region 1 has every line; the walk ends on the return's line.
+    const std::size_t first = walk.addRegion(program.base());
+    for (Addr a = program.base(); a < program.end(); a += lineBytes)
+        walk.deliver(first, a);
+    walk.drain(first);
+    ASSERT_EQ(walk.traces().size(), 3u);
+    const Addr retLine =
+        walk.traces().back().insts.back().pc & ~Addr(lineBytes - 1);
+
+    // Region 2 starts on that line with an empty prefetch cache:
+    // the walk must stall there, not trust what region 1 held.
+    const std::size_t second = walk.addRegion(retLine);
+    ASSERT_TRUE(walk.assignNext(second));
+    EXPECT_EQ(walk.tick(), 0u);
+    EXPECT_TRUE(walk.stalled());
+    walk.deliver(second, retLine);
+    walk.drain(second);
+    walk.expectSameTraces();
+    EXPECT_EQ(walk.traces().size(), 4u);
+}
+
+TEST(ConstructorWalkTest, RestoredConstructorForgetsItsRememberedLine)
+{
+    const Program program = straightLineProgram();
+    BimodalPredictor bp;
+    LockstepWalk walk(program, bp);
+
+    // Walk region 1 from its eighth instruction into its second
+    // line...
+    const std::size_t first = walk.addRegion(program.base());
+    for (Addr a = program.base(); a < program.end(); a += lineBytes)
+        walk.deliver(first, a);
+    walk.assign(first, program.base() + 8 * instBytes);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(walk.tick(), 4u);
+    ASSERT_FALSE(walk.idle());
+
+    // ... then restore state bound to region 2, whose prefetch
+    // cache lacks that line, at a pc on it.
+    const Addr second_line = program.base() + lineBytes;
+    const std::size_t second = walk.addRegion(second_line + 8);
+    walk.restoreFresh(second, second_line + 8);
+    EXPECT_EQ(walk.tick(), 0u);
+    EXPECT_TRUE(walk.stalled());
+    // A different line landing un-parks the walk; it must still
+    // stall on its own line.
+    walk.deliver(second, second_line + lineBytes);
+    EXPECT_EQ(walk.tick(), 0u);
+    EXPECT_TRUE(walk.stalled());
+    walk.deliver(second, second_line);
+    walk.drain(second);
+    walk.expectSameTraces();
+    EXPECT_EQ(walk.traces().size(), 3u);
 }
 
 // ---------------------------------------------------------------
