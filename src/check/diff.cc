@@ -257,16 +257,7 @@ diffModels(const Program &program, const DiffConfig &cfg)
             return result;
         }
         if (auto f = prefixed("fastsim",
-                              provenanceReconcilesFast(
-                                  stats, sim.traceCache()))) {
-            result.failure = f;
-            return result;
-        }
-        // The attribution decomposition must decant the provenance
-        // ledger exactly (trivially green — all-zero table — when
-        // attribution is compiled out or TPRE_ATTRIB=0).
-        if (auto f = prefixed("attrib-fast",
-                              attribReconcilesFast(
+                              ledgerReconcilesFast(
                                   stats, sim.traceCache()))) {
             result.failure = f;
             return result;
@@ -573,13 +564,7 @@ diffModels(const Program &program, const DiffConfig &cfg)
             return result;
         }
         if (auto f = prefixed("processor",
-                              provenanceReconcilesTiming(
-                                  stats, proc.traceCache()))) {
-            result.failure = f;
-            return result;
-        }
-        if (auto f = prefixed("attrib-timing",
-                              attribReconcilesTiming(
+                              ledgerReconcilesTiming(
                                   stats, proc.traceCache()))) {
             result.failure = f;
             return result;

@@ -572,119 +572,15 @@ obsReconcilesTiming(const ObsCounters &d, const ProcessorStats &stats)
 namespace
 {
 
-/** One exact equality of the provenance contract. */
+/** One exact equality of the ledger contract. */
 Violation
-provEq(const char *what, std::uint64_t provValue,
-       std::uint64_t statsValue)
+ledgerEq(const char *what, std::uint64_t ledgerValue,
+         std::uint64_t statsValue)
 {
-    if (provValue == statsValue)
+    if (ledgerValue == statsValue)
         return std::nullopt;
-    return Msg() << "provenance-reconcile: " << what
-                 << ": ledger says " << provValue
-                 << " but stats say " << statsValue;
-}
-
-} // namespace
-
-Violation
-provenanceReconciles(const ProvenanceTable &prov,
-                     std::uint64_t tcHits, std::uint64_t pbHits,
-                     std::uint64_t tcMisses,
-                     std::uint64_t residentValid)
-{
-    const OriginProvenance &fill = prov.of(TraceOrigin::FillUnit);
-    const OriginProvenance &pre = prov.of(TraceOrigin::Precon);
-
-    if (auto v = provEq("fill builds vs tcMisses", fill.builds,
-                        tcMisses)) {
-        return v;
-    }
-    if (auto v = provEq("precon builds vs pbHits", pre.builds,
-                        pbHits)) {
-        return v;
-    }
-    if (auto v = provEq("per-origin hits vs tcHits + pbHits",
-                        fill.hits + pre.hits, tcHits + pbHits)) {
-        return v;
-    }
-    // A promoted line serves the fetch that promoted it, so every
-    // precon build is used immediately and none can die unused.
-    if (auto v = provEq("precon firstUses vs precon builds",
-                        pre.firstUses, pre.builds)) {
-        return v;
-    }
-    if (auto v = provEq("precon evictedUnused", pre.evictedUnused,
-                        0)) {
-        return v;
-    }
-    if (auto v = provEq("resident lines vs valid entries",
-                        prov.resident(), residentValid)) {
-        return v;
-    }
-    for (std::size_t i = 0; i < kNumOrigins; ++i) {
-        const OriginProvenance &o = prov.origins[i];
-        const char *name =
-            traceOriginName(static_cast<TraceOrigin>(i));
-        if (o.firstUses > o.builds) {
-            return Msg() << "provenance-reconcile: " << name
-                         << " firstUses " << o.firstUses
-                         << " exceeds builds " << o.builds;
-        }
-        if (o.firstUses > o.hits) {
-            return Msg() << "provenance-reconcile: " << name
-                         << " firstUses " << o.firstUses
-                         << " exceeds hits " << o.hits;
-        }
-        if (o.evictions() > o.builds) {
-            return Msg() << "provenance-reconcile: " << name
-                         << " evictions " << o.evictions()
-                         << " exceed builds " << o.builds;
-        }
-    }
-    return std::nullopt;
-}
-
-Violation
-provenanceReconcilesFast(const FastSimStats &stats,
-                         const TraceCache &cache)
-{
-    if (auto v = provEq("stats table builds vs cache table builds",
-                        stats.provenance.totalBuilds(),
-                        cache.provenance().totalBuilds())) {
-        return v;
-    }
-    return provenanceReconciles(cache.provenance(), stats.tcHits,
-                                stats.pbHits, stats.tcMisses,
-                                cache.numValid());
-}
-
-Violation
-provenanceReconcilesTiming(const ProcessorStats &stats,
-                           const TraceCache &cache)
-{
-    if (auto v = provEq("stats table builds vs cache table builds",
-                        stats.provenance.totalBuilds(),
-                        cache.provenance().totalBuilds())) {
-        return v;
-    }
-    return provenanceReconciles(cache.provenance(), stats.tcHits,
-                                stats.pbHits, stats.tcMisses,
-                                cache.numValid());
-}
-
-namespace
-{
-
-/** One exact equality of the attribution contract. */
-Violation
-attribEq(const char *origin, const char *what,
-         std::uint64_t cellSum, std::uint64_t provValue)
-{
-    if (cellSum == provValue)
-        return std::nullopt;
-    return Msg() << "attrib-reconcile: " << origin << " " << what
-                 << ": summed cells say " << cellSum
-                 << " but the provenance ledger says " << provValue;
+    return Msg() << "ledger-reconcile: " << what << ": ledger says "
+                 << ledgerValue << " but stats say " << statsValue;
 }
 
 std::uint64_t
@@ -696,141 +592,123 @@ kindSum(const std::array<std::uint64_t, kNumInstKinds> &counts)
     return n;
 }
 
+/** Structural sanity of one cell; @p where names it. */
+Violation
+cellSane(const AttribCell &cell, const std::string &where)
+{
+    const std::uint64_t built = kindSum(cell.instBuilt);
+    const std::uint64_t served = kindSum(cell.instServed);
+    if (built < cell.builds || built > cell.builds * kMaxTraceLen) {
+        return Msg() << "ledger-reconcile: " << where
+                     << " instBuilt sum " << built
+                     << " outside [builds, 16*builds] for builds "
+                     << cell.builds;
+    }
+    if (served < cell.hits || served > cell.hits * kMaxTraceLen) {
+        return Msg() << "ledger-reconcile: " << where
+                     << " instServed sum " << served
+                     << " outside [hits, 16*hits] for hits "
+                     << cell.hits;
+    }
+    if (cell.firstUses > cell.builds) {
+        return Msg() << "ledger-reconcile: " << where << " firstUses "
+                     << cell.firstUses << " exceed builds "
+                     << cell.builds;
+    }
+    if (cell.firstUses > cell.hits) {
+        return Msg() << "ledger-reconcile: " << where << " firstUses "
+                     << cell.firstUses << " exceed hits " << cell.hits;
+    }
+    if (cell.evictions() > cell.builds) {
+        return Msg() << "ledger-reconcile: " << where << " evictions "
+                     << cell.evictions() << " exceed builds "
+                     << cell.builds;
+    }
+    return std::nullopt;
+}
+
 } // namespace
 
 Violation
-attribReconciles(const AttribTable &attrib,
-                 const ProvenanceTable &prov, bool active)
+ledgerReconciles(const AttribTable &ledger, std::uint64_t tcHits,
+                 std::uint64_t pbHits, std::uint64_t tcMisses,
+                 std::uint64_t residentValid)
 {
-    if (!active) {
-        if (!attrib.allZero()) {
-            return Msg() << "attrib-reconcile: attribution is "
-                            "inactive but the table is not all "
-                            "zeros";
-        }
-        return std::nullopt;
-    }
+    const AttribCell fill = ledger.originSum(TraceOrigin::FillUnit);
+    const AttribCell pre = ledger.originSum(TraceOrigin::Precon);
 
-    for (std::size_t i = 0; i < kNumOrigins; ++i) {
-        const auto origin = static_cast<TraceOrigin>(i);
-        const char *name = traceOriginName(origin);
-        const AttribCell sum = attrib.originSum(origin);
-        const OriginProvenance &o = prov.of(origin);
-        const std::pair<const char *,
-                        std::pair<std::uint64_t, std::uint64_t>>
-            rows[] = {
-                {"builds", {sum.builds, o.builds}},
-                {"hits", {sum.hits, o.hits}},
-                {"firstUses", {sum.firstUses, o.firstUses}},
-                {"firstUseLatencySum",
-                 {sum.firstUseLatencySum, o.firstUseLatencySum}},
-                {"evictCapacity",
-                 {sum.evictCapacity, o.evictCapacity}},
-                {"evictRefresh", {sum.evictRefresh, o.evictRefresh}},
-                {"evictInvalidate",
-                 {sum.evictInvalidate, o.evictInvalidate}},
-                {"evictClear", {sum.evictClear, o.evictClear}},
-                {"evictedUnused",
-                 {sum.evictedUnused, o.evictedUnused}},
-            };
-        for (const auto &[what, vals] : rows) {
-            if (auto v =
-                    attribEq(name, what, vals.first, vals.second)) {
-                return v;
-            }
-        }
+    if (auto v = ledgerEq("fill builds vs tcMisses", fill.builds,
+                          tcMisses)) {
+        return v;
     }
-
+    if (auto v = ledgerEq("precon builds vs pbHits", pre.builds,
+                          pbHits)) {
+        return v;
+    }
+    if (auto v = ledgerEq("per-origin hits vs tcHits + pbHits",
+                          fill.hits + pre.hits, tcHits + pbHits)) {
+        return v;
+    }
+    // A promoted line serves the fetch that promoted it, so every
+    // precon build is used immediately and none can die unused.
+    if (auto v = ledgerEq("precon firstUses vs precon builds",
+                          pre.firstUses, pre.builds)) {
+        return v;
+    }
+    if (auto v = ledgerEq("precon evictedUnused", pre.evictedUnused,
+                          0)) {
+        return v;
+    }
+    if (auto v = ledgerEq("resident lines vs valid entries",
+                          ledger.total().resident(), residentValid)) {
+        return v;
+    }
     for (std::size_t i = 0; i < kNumOrigins; ++i) {
         const auto origin = static_cast<TraceOrigin>(i);
         for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
             const auto cls = static_cast<LoopClass>(c);
-            const AttribCell &cell = attrib.of(origin, cls);
-            const std::string where =
-                std::string(traceOriginName(origin)) + "/" +
-                loopClassName(cls);
-            const std::uint64_t built = kindSum(cell.instBuilt);
-            const std::uint64_t served = kindSum(cell.instServed);
-            if (built < cell.builds ||
-                built > cell.builds * kMaxTraceLen) {
-                return Msg()
-                       << "attrib-reconcile: " << where
-                       << " instBuilt sum " << built
-                       << " outside [builds, 16*builds] for builds "
-                       << cell.builds;
-            }
-            if (served < cell.hits ||
-                served > cell.hits * kMaxTraceLen) {
-                return Msg()
-                       << "attrib-reconcile: " << where
-                       << " instServed sum " << served
-                       << " outside [hits, 16*hits] for hits "
-                       << cell.hits;
-            }
-            if (cell.firstUses > cell.builds) {
-                return Msg() << "attrib-reconcile: " << where
-                             << " firstUses " << cell.firstUses
-                             << " exceed builds " << cell.builds;
-            }
-            if (cell.firstUses > cell.hits) {
-                return Msg() << "attrib-reconcile: " << where
-                             << " firstUses " << cell.firstUses
-                             << " exceed hits " << cell.hits;
-            }
-            if (cell.evictions() > cell.builds) {
-                return Msg() << "attrib-reconcile: " << where
-                             << " evictions " << cell.evictions()
-                             << " exceed builds " << cell.builds;
+            if (auto v = cellSane(ledger.of(origin, cls),
+                                  std::string(traceOriginName(origin)) +
+                                      "/" + loopClassName(cls))) {
+                return v;
             }
         }
     }
     return std::nullopt;
 }
 
-Violation
-attribReconcilesFast(const FastSimStats &stats,
-                     const TraceCache &cache)
+namespace
 {
-    if (auto v = attribEq("total",
-                          "stats table builds vs cache table builds",
-                          stats.attrib.originSum(TraceOrigin::FillUnit)
-                                  .builds +
-                              stats.attrib
-                                  .originSum(TraceOrigin::Precon)
-                                  .builds,
-                          cache.attrib()
-                                  .originSum(TraceOrigin::FillUnit)
-                                  .builds +
-                              cache.attrib()
-                                  .originSum(TraceOrigin::Precon)
-                                  .builds)) {
+
+/** The ledger contract over a finished run of either model. */
+template <typename Stats>
+Violation
+runLedgerReconciles(const Stats &stats, const TraceCache &cache)
+{
+    if (auto v = ledgerEq("stats ledger builds vs cache ledger builds",
+                          stats.attrib.total().builds,
+                          cache.attrib().total().builds)) {
         return v;
     }
-    return attribReconciles(cache.attrib(), cache.provenance(),
-                            cache.attribActive());
+    return ledgerReconciles(cache.attrib(), stats.tcHits,
+                            stats.pbHits, stats.tcMisses,
+                            cache.numValid());
+}
+
+} // namespace
+
+Violation
+ledgerReconcilesFast(const FastSimStats &stats,
+                     const TraceCache &cache)
+{
+    return runLedgerReconciles(stats, cache);
 }
 
 Violation
-attribReconcilesTiming(const ProcessorStats &stats,
+ledgerReconcilesTiming(const ProcessorStats &stats,
                        const TraceCache &cache)
 {
-    if (auto v = attribEq("total",
-                          "stats table builds vs cache table builds",
-                          stats.attrib.originSum(TraceOrigin::FillUnit)
-                                  .builds +
-                              stats.attrib
-                                  .originSum(TraceOrigin::Precon)
-                                  .builds,
-                          cache.attrib()
-                                  .originSum(TraceOrigin::FillUnit)
-                                  .builds +
-                              cache.attrib()
-                                  .originSum(TraceOrigin::Precon)
-                                  .builds)) {
-        return v;
-    }
-    return attribReconciles(cache.attrib(), cache.provenance(),
-                            cache.attribActive());
+    return runLedgerReconciles(stats, cache);
 }
 
 } // namespace tpre::check

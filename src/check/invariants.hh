@@ -162,9 +162,10 @@ Violation obsReconcilesTiming(const ObsCounters &delta,
                               const ProcessorStats &stats);
 
 /**
- * The trace-provenance contract: the per-origin ledger a run's
- * TraceCache accumulated must reconcile *exactly* with the run's
- * counters, in both simulation modes —
+ * The trace-cache ledger contract (DESIGN.md section 12): the
+ * (origin × loop-class) cells a run's TraceCache accumulated must
+ * agree *exactly* with numbers counted independently of the
+ * ledger, in both simulation modes —
  *
  *   fill builds   == tcMisses   (one demand fill per miss)
  *   precon builds == pbHits     (one promotion per buffer hit)
@@ -173,49 +174,25 @@ Violation obsReconcilesTiming(const ObsCounters &delta,
  *   none is ever evicted unused
  *   builds - evictions == lines still valid in the cache
  *
- * plus per-origin structural sanity (firstUses <= builds,
- * firstUses <= hits, evictions <= builds). Unlike the obs
- * contract, provenance is plain stats bookkeeping, so this holds
- * under TPRE_OBS_DISABLED too.
- */
-Violation provenanceReconciles(const ProvenanceTable &prov,
-                               std::uint64_t tcHits,
-                               std::uint64_t pbHits,
-                               std::uint64_t tcMisses,
-                               std::uint64_t residentValid);
-
-/** provenanceReconciles() over a finished FastSim run. */
-Violation provenanceReconcilesFast(const FastSimStats &stats,
-                                   const TraceCache &cache);
-
-/** provenanceReconciles() over a finished TraceProcessor run. */
-Violation provenanceReconcilesTiming(const ProcessorStats &stats,
-                                     const TraceCache &cache);
-
-/**
- * The reuse-attribution contract (DESIGN.md section 17): when
- * attribution is @p active, summing an origin's loop-class cells
- * must reproduce that origin's OriginProvenance row field by field
- * — the decomposition loses nothing relative to the provenance
- * ledger, and transitively (via provenanceReconciles) relative to
- * the run's tcHits / pbHits / tcMisses totals. Per-cell structural
- * sanity bounds the instruction-type histograms: a resident trace
- * body holds 1..kMaxTraceLen instructions, so
+ * where the per-origin figures are origin row sums. Every cell is
+ * also structurally sane: a resident trace body holds
+ * 1..kMaxTraceLen instructions, so
  * builds <= sum(instBuilt) <= 16*builds and
- * hits <= sum(instServed) <= 16*hits, with the usual
- * firstUses/evictions ordering inside each cell. When attribution
- * is inactive (TPRE_OBS_DISABLED build or TPRE_ATTRIB=0) the table
- * must be all zeros.
+ * hits <= sum(instServed) <= 16*hits, and firstUses <= builds,
+ * firstUses <= hits, evictions <= builds. The ledger is plain
+ * stats bookkeeping, so this holds under TPRE_OBS_DISABLED too.
  */
-Violation attribReconciles(const AttribTable &attrib,
-                           const ProvenanceTable &prov, bool active);
+Violation ledgerReconciles(const AttribTable &ledger,
+                           std::uint64_t tcHits, std::uint64_t pbHits,
+                           std::uint64_t tcMisses,
+                           std::uint64_t residentValid);
 
-/** attribReconciles() over a finished FastSim run. */
-Violation attribReconcilesFast(const FastSimStats &stats,
+/** ledgerReconciles() over a finished FastSim run. */
+Violation ledgerReconcilesFast(const FastSimStats &stats,
                                const TraceCache &cache);
 
-/** attribReconciles() over a finished TraceProcessor run. */
-Violation attribReconcilesTiming(const ProcessorStats &stats,
+/** ledgerReconciles() over a finished TraceProcessor run. */
+Violation ledgerReconcilesTiming(const ProcessorStats &stats,
                                  const TraceCache &cache);
 
 } // namespace tpre::check

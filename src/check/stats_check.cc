@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -98,7 +97,7 @@ fastStatsEqual(const FastSimStats &live,
 {
     // Walk every counter; report the first mismatch by name so a
     // replay divergence pinpoints the stray field immediately.
-    std::vector<std::tuple<const char *, std::uint64_t,
+    std::vector<std::tuple<std::string, std::uint64_t,
                            std::uint64_t>>
         fields = {
             {"instructions", live.instructions,
@@ -160,85 +159,36 @@ fastStatsEqual(const FastSimStats &live,
              replayed.precon.linesFetched},
         };
 
-    for (std::size_t i = 0; i < kNumOrigins; ++i) {
-        const auto origin = static_cast<TraceOrigin>(i);
-        const OriginProvenance &a = live.provenance.of(origin);
-        const OriginProvenance &b = replayed.provenance.of(origin);
-        const std::string prefix =
-            std::string("provenance.") + traceOriginName(origin) +
-            ".";
-        const std::pair<const char *, std::pair<std::uint64_t,
-                                                std::uint64_t>>
-            rows[] = {
-                {"builds", {a.builds, b.builds}},
-                {"hits", {a.hits, b.hits}},
-                {"firstUses", {a.firstUses, b.firstUses}},
-                {"firstUseLatencySum",
-                 {a.firstUseLatencySum, b.firstUseLatencySum}},
-                {"evictCapacity", {a.evictCapacity, b.evictCapacity}},
-                {"evictRefresh", {a.evictRefresh, b.evictRefresh}},
-                {"evictInvalidate",
-                 {a.evictInvalidate, b.evictInvalidate}},
-                {"evictClear", {a.evictClear, b.evictClear}},
-                {"evictedUnused", {a.evictedUnused, b.evictedUnused}},
-            };
-        for (const auto &[name, vals] : rows) {
-            if (vals.first != vals.second)
-                return fail(prefix + name + " diverges: live " +
-                            num(vals.first) + ", replay " +
-                            num(vals.second));
-        }
-    }
-
-    // Attribution is deterministic bookkeeping on the same trace
-    // stream, so it replays exactly too (all zeros when inactive).
+    // The trace-cache ledger is deterministic bookkeeping on the
+    // same trace stream, so it replays exactly: every counter of
+    // every cell, each by name, so a count moved between eviction
+    // reasons or instruction kinds is caught too.
     for (std::size_t i = 0; i < kNumOrigins; ++i) {
         const auto origin = static_cast<TraceOrigin>(i);
         for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
             const auto cls = static_cast<LoopClass>(c);
             const AttribCell &a = live.attrib.of(origin, cls);
             const AttribCell &b = replayed.attrib.of(origin, cls);
-            const std::string prefix =
-                std::string("attrib.") + traceOriginName(origin) +
-                "." + loopClassName(cls) + ".";
-            const std::pair<const char *,
-                            std::pair<std::uint64_t, std::uint64_t>>
-                rows[] = {
-                    {"builds", {a.builds, b.builds}},
-                    {"hits", {a.hits, b.hits}},
-                    {"firstUses", {a.firstUses, b.firstUses}},
-                    {"firstUseLatencySum",
-                     {a.firstUseLatencySum, b.firstUseLatencySum}},
-                    {"evictions", {a.evictions(), b.evictions()}},
-                    {"evictedUnused",
-                     {a.evictedUnused, b.evictedUnused}},
-                    {"instBuilt[*]",
-                     {std::accumulate(a.instBuilt.begin(),
-                                      a.instBuilt.end(),
-                                      std::uint64_t{0}),
-                      std::accumulate(b.instBuilt.begin(),
-                                      b.instBuilt.end(),
-                                      std::uint64_t{0})}},
-                    {"instServed[*]",
-                     {std::accumulate(a.instServed.begin(),
-                                      a.instServed.end(),
-                                      std::uint64_t{0}),
-                      std::accumulate(b.instServed.begin(),
-                                      b.instServed.end(),
-                                      std::uint64_t{0})}},
-                };
-            for (const auto &[name, vals] : rows) {
-                if (vals.first != vals.second)
-                    return fail(prefix + name + " diverges: live " +
-                                num(vals.first) + ", replay " +
-                                num(vals.second));
+            const std::string cell = std::string("attrib.") +
+                                     traceOriginName(origin) + "." +
+                                     loopClassName(cls) + ".";
+            for (const CellCounter &f : kCellCounters)
+                fields.emplace_back(cell + f.name, a.*f.field,
+                                    b.*f.field);
+            for (std::size_t k = 0; k < kNumInstKinds; ++k) {
+                const char *kind =
+                    instKindName(static_cast<InstKind>(k));
+                fields.emplace_back(cell + "instBuilt." + kind,
+                                    a.instBuilt[k], b.instBuilt[k]);
+                fields.emplace_back(cell + "instServed." + kind,
+                                    a.instServed[k], b.instServed[k]);
             }
         }
     }
 
     for (const auto &[name, a, b] : fields) {
         if (a != b)
-            return fail(std::string(name) + " diverges: live " +
+            return fail(name + " diverges: live " +
                         num(a) + ", replay " + num(b));
     }
     return std::nullopt;

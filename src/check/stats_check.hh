@@ -30,10 +30,11 @@ Violation statsConserved(const FastSimStats &s);
 
 /**
  * Field-by-field equality of two FastSim runs — every counter,
- * including the I-cache, preconstruction and provenance breakdowns.
- * This is the oracle behind trace replay: a `.tpt` replay of the
- * stream a live run committed must reproduce its statistics
- * exactly. The violation names the first differing field.
+ * including the I-cache and preconstruction breakdowns and every
+ * counter of every trace-cache ledger cell. This is the oracle
+ * behind trace replay: a `.tpt` replay of the stream a live run
+ * committed must reproduce its statistics exactly. The violation
+ * names the first differing field.
  */
 Violation fastStatsEqual(const FastSimStats &live,
                          const FastSimStats &replayed);

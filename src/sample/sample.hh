@@ -181,7 +181,7 @@ struct SampledRun
      * The simulator's end-of-run statistics: the full detailed run
      * for a degenerate fall back, otherwise the accumulated
      * detailed portions only (window + warm-up instructions). The
-     * precon/provenance ledgers inside stay raw — they are
+     * precon and trace-cache ledgers inside stay raw — they are
      * internally conserved and are never extrapolated.
      */
     FastSimStats raw;

@@ -22,9 +22,7 @@
  *                                 "bounds": [...],
  *                                 "buckets": [...]}, ...}
  *     },
- *     "attrib": {    <- only when attribution is active (obs
- *                       compiled in and TPRE_ATTRIB != 0): the
- *                       per-row tables summed cell-wise
+ *     "attrib": {    <- the per-row ledgers summed cell-wise
  *       "fill" | "precon": {
  *         "loop_body" | "loop_exit" | "call_chain" |
  *         "straight_line": {
@@ -54,7 +52,8 @@
  *         "icache_misses_per_ki": X,
  *         "icache_miss_supply_per_ki": X,
  *         "precon_traces_constructed": N, "precon_buffer_hits": N,
- *         "provenance": {
+ *         "provenance": {  <- the row's "attrib" cells summed per
+ *                           origin, without the histograms
  *           "fill":   {"builds": N, "hits": N, "first_uses": N,
  *                      "first_use_latency_sum": N,
  *                      "evict_capacity": N, "evict_refresh": N,
@@ -62,9 +61,8 @@
  *                      "evicted_unused": N},
  *           "precon": {same keys}
  *         },
- *         "attrib": {per-row attribution table; same shape as the
- *                    top-level "attrib"; present only when
- *                    attribution is active},
+ *         "attrib": {the row's ledger; same shape as the
+ *                    top-level "attrib"},
  *         "wall_seconds": X, "mips": X
  *       }, ...
  *     ]

@@ -39,7 +39,6 @@ makeFastResult(const SimConfig &config, const FastSimStats &st)
             static_cast<double>(st.instructions);
     }
     result.precon = st.precon;
-    result.provenance = st.provenance;
     result.attrib = st.attrib;
     result.blocksDecoded = st.blocks.decoded;
     result.blockHits = st.blocks.hits;
@@ -93,7 +92,6 @@ makeSampledResult(const SimConfig &config,
     // Raw, not extrapolated: these ledgers are internally conserved
     // (preconStatsSane) and cover the detailed portions only.
     result.precon = run.raw.precon;
-    result.provenance = run.raw.provenance;
     result.attrib = run.raw.attrib;
     result.blocksDecoded = run.raw.blocks.decoded;
     result.blockHits = run.raw.blocks.hits;
@@ -368,8 +366,7 @@ Simulator::run(const SimConfig &config)
         }
         result.precon = st.precon;
         result.prep = st.prep;
-        result.provenance = st.provenance;
-        result.attrib = st.attrib;
+            result.attrib = st.attrib;
     }
 
     result.wallSeconds =
@@ -389,7 +386,7 @@ Simulator::run(const SimConfig &config)
         result.sampleFallback = sampleFallback;
     TPRE_OBS_COUNT("sim.instructions", result.instructions);
     // Make the run's ledgers visible to a live /metrics scrape.
-    telemetry::publishRunLedgers(result.provenance, result.attrib);
+    telemetry::publishRunLedgers(result.attrib);
     return result;
 }
 

@@ -17,7 +17,6 @@
 #include "mem/checkpoint.hh"
 #include "sim/config.hh"
 #include "telemetry/attrib.hh"
-#include "telemetry/provenance.hh"
 #include "workload/generator.hh"
 
 namespace tpre
@@ -44,17 +43,13 @@ struct SimResult
     PreconstructionEngine::Stats precon;
     Preprocessor::Stats prep;
     /**
-     * Per-origin (fill unit vs preconstruction engine) trace-cache
-     * line provenance: builds, hits, first-use latency, eviction
-     * reasons. Zero for the unified-cache ablation simulators,
-     * which bypass the primary TraceCache.
-     */
-    ProvenanceTable provenance;
-    /**
-     * Reuse attribution: the provenance ledger decanted by loop
-     * class and instruction type (DESIGN.md section 17). All zeros
-     * when attribution is inactive (TPRE_OBS_DISABLED build or
-     * TPRE_ATTRIB=0); like provenance it stays raw in sampled runs.
+     * The trace-cache ledger (DESIGN.md section 12): builds, hits,
+     * first-use latency and eviction reasons per (origin ×
+     * loop-class) cell, decanted by instruction type. The
+     * per-origin (fill unit vs preconstruction engine) provenance
+     * is attrib.originSum(origin). Stays raw in sampled runs; zero
+     * for the unified-cache ablation simulators, which bypass the
+     * primary TraceCache.
      */
     AttribTable attrib;
     /**
@@ -94,7 +89,7 @@ struct SimResult
      * above are extrapolated from the measurement windows'
      * per-window rates and `instructions` counts total forward
      * progress (detailed + skipped), so mips is the honest mixed-
-     * mode rate. The precon/provenance ledgers stay raw (detailed
+     * mode rate. The precon and trace-cache ledgers stay raw (detailed
      * portions only) — they are conserved, not extrapolated.
      */
     bool sampled = false;

@@ -1,9 +1,6 @@
 #include "telemetry/attrib.hh"
 
 #include <cstdio>
-#include <cstdlib>
-
-#include "common/logging.hh"
 
 namespace tpre
 {
@@ -59,67 +56,40 @@ classifyTrace(const Trace &trace)
     return tc;
 }
 
+void
+AttribCell::add(const AttribCell &other)
+{
+    for (const CellCounter &c : kCellCounters)
+        this->*c.field += other.*c.field;
+    for (std::size_t k = 0; k < kNumInstKinds; ++k) {
+        instBuilt[k] += other.instBuilt[k];
+        instServed[k] += other.instServed[k];
+    }
+}
+
 AttribCell
 AttribTable::originSum(TraceOrigin origin) const
 {
     AttribCell sum;
-    for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
-        const AttribCell &cell =
-            of(origin, static_cast<LoopClass>(c));
-        sum.builds += cell.builds;
-        sum.hits += cell.hits;
-        sum.firstUses += cell.firstUses;
-        sum.firstUseLatencySum += cell.firstUseLatencySum;
-        sum.evictCapacity += cell.evictCapacity;
-        sum.evictRefresh += cell.evictRefresh;
-        sum.evictInvalidate += cell.evictInvalidate;
-        sum.evictClear += cell.evictClear;
-        sum.evictedUnused += cell.evictedUnused;
-        for (std::size_t k = 0; k < kNumInstKinds; ++k) {
-            sum.instBuilt[k] += cell.instBuilt[k];
-            sum.instServed[k] += cell.instServed[k];
-        }
-    }
+    for (std::size_t c = 0; c < kNumLoopClasses; ++c)
+        sum.add(of(origin, static_cast<LoopClass>(c)));
+    return sum;
+}
+
+AttribCell
+AttribTable::total() const
+{
+    AttribCell sum;
+    for (const AttribCell &cell : cells)
+        sum.add(cell);
     return sum;
 }
 
 void
 AttribTable::add(const AttribTable &other)
 {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        AttribCell &a = cells[i];
-        const AttribCell &b = other.cells[i];
-        a.builds += b.builds;
-        a.hits += b.hits;
-        a.firstUses += b.firstUses;
-        a.firstUseLatencySum += b.firstUseLatencySum;
-        a.evictCapacity += b.evictCapacity;
-        a.evictRefresh += b.evictRefresh;
-        a.evictInvalidate += b.evictInvalidate;
-        a.evictClear += b.evictClear;
-        a.evictedUnused += b.evictedUnused;
-        for (std::size_t k = 0; k < kNumInstKinds; ++k) {
-            a.instBuilt[k] += b.instBuilt[k];
-            a.instServed[k] += b.instServed[k];
-        }
-    }
-}
-
-bool
-AttribTable::allZero() const
-{
-    for (const AttribCell &c : cells) {
-        if (c.builds || c.hits || c.firstUses ||
-            c.firstUseLatencySum || c.evictions() ||
-            c.evictedUnused) {
-            return false;
-        }
-        for (std::size_t k = 0; k < kNumInstKinds; ++k) {
-            if (c.instBuilt[k] || c.instServed[k])
-                return false;
-        }
-    }
-    return true;
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        cells[i].add(other.cells[i]);
 }
 
 namespace
@@ -149,10 +119,34 @@ renderKindMap(const std::array<std::uint64_t, kNumInstKinds> &counts)
     return out;
 }
 
-} // namespace
-
+/**
+ * One cell as a JSON object: every scalar counter, then (for the
+ * attribution shape) the two instruction-type histograms.
+ */
 std::string
-renderAttribJson(const AttribTable &table)
+renderCellJson(const AttribCell &cell, bool withKinds)
+{
+    std::string out = "{";
+    for (const CellCounter &c : kCellCounters) {
+        if (&c != kCellCounters)
+            out += ", ";
+        out += "\"";
+        out += c.key;
+        out += "\": " + u64(cell.*c.field);
+    }
+    if (withKinds) {
+        out += ", \"inst_built\": " + renderKindMap(cell.instBuilt);
+        out +=
+            ", \"inst_served\": " + renderKindMap(cell.instServed);
+    }
+    out += "}";
+    return out;
+}
+
+/** {"fill": row(fill), "precon": row(precon)}. */
+template <typename Row>
+std::string
+renderByOrigin(Row &&row)
 {
     std::string out = "{";
     for (std::size_t i = 0; i < kNumOrigins; ++i) {
@@ -161,52 +155,39 @@ renderAttribJson(const AttribTable &table)
             out += ", ";
         out += "\"";
         out += traceOriginName(origin);
-        out += "\": {";
-        for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
-            const auto cls = static_cast<LoopClass>(c);
-            const AttribCell &cell = table.of(origin, cls);
-            if (c)
-                out += ", ";
-            out += "\"";
-            out += loopClassName(cls);
-            out += "\": {";
-            out += "\"builds\": " + u64(cell.builds) + ", ";
-            out += "\"hits\": " + u64(cell.hits) + ", ";
-            out += "\"first_uses\": " + u64(cell.firstUses) + ", ";
-            out += "\"first_use_latency_sum\": " +
-                   u64(cell.firstUseLatencySum) + ", ";
-            out += "\"evict_capacity\": " + u64(cell.evictCapacity) +
-                   ", ";
-            out += "\"evict_refresh\": " + u64(cell.evictRefresh) +
-                   ", ";
-            out += "\"evict_invalidate\": " +
-                   u64(cell.evictInvalidate) + ", ";
-            out += "\"evict_clear\": " + u64(cell.evictClear) + ", ";
-            out += "\"evicted_unused\": " + u64(cell.evictedUnused) +
-                   ", ";
-            out += "\"inst_built\": " + renderKindMap(cell.instBuilt) +
-                   ", ";
-            out +=
-                "\"inst_served\": " + renderKindMap(cell.instServed);
-            out += "}";
-        }
-        out += "}";
+        out += "\": " + row(origin);
     }
     out += "}";
     return out;
 }
 
-bool
-attribDefaultEnabled()
+} // namespace
+
+std::string
+renderProvenanceJson(const AttribTable &table)
 {
-    const char *env = std::getenv("TPRE_ATTRIB");
-    if (!env)
-        return true;
-    if (env[0] == '0' && env[1] == '\0')
-        return false;
-    if (env[0] == '1' && env[1] == '\0')
-        return true;
-    fatal("TPRE_ATTRIB: '%s' is not 0 or 1", env);
+    return renderByOrigin([&](TraceOrigin origin) {
+        return renderCellJson(table.originSum(origin), false);
+    });
+}
+
+std::string
+renderAttribJson(const AttribTable &table)
+{
+    return renderByOrigin([&](TraceOrigin origin) {
+        std::string out = "{";
+        for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
+            const auto cls = static_cast<LoopClass>(c);
+            if (c)
+                out += ", ";
+            out += "\"";
+            out += loopClassName(cls);
+            out += "\": " +
+                   renderCellJson(table.of(origin, cls), true);
+        }
+        out += "}";
+        return out;
+    });
 }
 
 } // namespace tpre

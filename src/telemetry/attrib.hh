@@ -1,27 +1,27 @@
 /**
  * @file
- * Trace-reuse attribution (DESIGN.md section 17): *why* each origin
- * gets the reuse the provenance ledger (section 12) counts. Every
- * trace is classified once at insert time — a loop-structure class
- * derived from its back-edge shape plus an instruction-type
- * histogram over Opcode kinds — and the TraceCache accumulates
- * builds, hits, first-use latency and eviction splits per
- * (origin × loop-class) cell, with the instruction-type histograms
- * decanting each cell into the third dimension. This is the
- * decomposition of "Decanting the Contribution of Instruction Types
- * and Loop Structures in the Reuse of Traces" (PAPERS.md) grafted
- * onto the paper's Section 5 provenance question.
+ * The trace-cache ledger (DESIGN.md section 12): *who* built each
+ * line, *why* it was reused and what became of it. Every trace is
+ * classified once at insert time — a loop-structure class derived
+ * from its back-edge shape plus an instruction-type histogram over
+ * Opcode kinds — and the TraceCache counts builds, hits, first-use
+ * latency and eviction splits per (origin × loop-class) cell, with
+ * the instruction-type histograms decanting each cell into the
+ * third dimension. This is the decomposition of "Decanting the
+ * Contribution of Instruction Types and Loop Structures in the
+ * Reuse of Traces" (PAPERS.md) grafted onto the paper's Section 5
+ * provenance question.
  *
- * Unlike provenance, attribution is an observability extra: every
- * accumulation site is compiled out under TPRE_OBS_DISABLED
- * (obs::kEnabled) and runtime-gated by the strict TPRE_ATTRIB=0|1
- * knob, so the per-hit cost can be removed entirely. The table
- * itself stays in the TraceCache checkpoint image in both
- * configurations so checkpoints remain interchangeable.
+ * The cells are the only store. The per-origin provenance view is
+ * the origin row sum (AttribTable::originSum), computed wherever a
+ * report or check needs it. Bookkeeping is plain integer
+ * arithmetic on the owning simulator's thread — no atomics, no obs
+ * macros — so the ledger is exact and checkable in every build,
+ * TPRE_OBS_DISABLED included.
  *
- * The types live in namespace tpre (not tpre::telemetry) for the
- * same reason the provenance types do: the trace layer embeds them;
- * the telemetry subsystem renders and reconciles them.
+ * The types live in namespace tpre (not tpre::telemetry) because
+ * the trace layer embeds them; the telemetry subsystem renders
+ * them.
  */
 
 #ifndef TPRE_TELEMETRY_ATTRIB_HH
@@ -111,12 +111,19 @@ struct TraceClass
 /** Classify @p trace (loop class + instruction-type histogram). */
 TraceClass classifyTrace(const Trace &trace);
 
-/** One (origin × loop-class) attribution cell. */
+/**
+ * One (origin × loop-class) ledger cell. An origin's row sum (its
+ * provenance) and the table's grand total have the same shape.
+ */
 struct AttribCell
 {
+    /** Lines inserted into the trace cache. */
     std::uint64_t builds = 0;
+    /** Fetches served by these lines. */
     std::uint64_t hits = 0;
+    /** Lines that served at least one fetch. */
     std::uint64_t firstUses = 0;
+    /** Sum over first uses of (use cycle - construction cycle). */
     std::uint64_t firstUseLatencySum = 0;
     std::uint64_t evictCapacity = 0;
     std::uint64_t evictRefresh = 0;
@@ -135,9 +142,57 @@ struct AttribCell
         return evictCapacity + evictRefresh + evictInvalidate +
                evictClear;
     }
+
+    /**
+     * Lines still resident: every build either was evicted (any
+     * reason) or is still valid in the cache. The invariant
+     * checkers pin the table total against TraceCache::numValid().
+     */
+    std::uint64_t resident() const { return builds - evictions(); }
+
+    /** Mean construction-to-first-use latency in cycles. */
+    double
+    meanFirstUseLatency() const
+    {
+        return firstUses == 0
+                   ? 0.0
+                   : static_cast<double>(firstUseLatencySum) /
+                         static_cast<double>(firstUses);
+    }
+
+    /** Accumulate @p other field by field. */
+    void add(const AttribCell &other);
 };
 
-/** The full (origin × loop-class) attribution ledger of one cache. */
+/** A scalar counter of AttribCell: report key, field name, member. */
+struct CellCounter
+{
+    const char *key;
+    const char *name;
+    std::uint64_t AttribCell::*field;
+};
+
+/**
+ * Every scalar counter of a cell, in report order. The JSON
+ * renderer, the replay-equality check and AttribCell::add walk this
+ * one list, so a new counter is reported, compared and folded by
+ * adding one row.
+ */
+inline constexpr CellCounter kCellCounters[] = {
+    {"builds", "builds", &AttribCell::builds},
+    {"hits", "hits", &AttribCell::hits},
+    {"first_uses", "firstUses", &AttribCell::firstUses},
+    {"first_use_latency_sum", "firstUseLatencySum",
+     &AttribCell::firstUseLatencySum},
+    {"evict_capacity", "evictCapacity", &AttribCell::evictCapacity},
+    {"evict_refresh", "evictRefresh", &AttribCell::evictRefresh},
+    {"evict_invalidate", "evictInvalidate",
+     &AttribCell::evictInvalidate},
+    {"evict_clear", "evictClear", &AttribCell::evictClear},
+    {"evicted_unused", "evictedUnused", &AttribCell::evictedUnused},
+};
+
+/** The (origin × loop-class) ledger of one trace cache or run. */
 struct AttribTable
 {
     std::array<AttribCell, kNumOrigins * kNumLoopClasses> cells;
@@ -156,36 +211,33 @@ struct AttribTable
         return const_cast<AttribTable *>(this)->of(origin, cls);
     }
 
-    /**
-     * Sum one origin's loop-class cells. The reconciliation
-     * contract pins this against the origin's OriginProvenance row
-     * field by field.
-     */
+    /** One origin's loop-class cells summed: its provenance row. */
     AttribCell originSum(TraceOrigin origin) const;
+
+    /** Every cell summed. */
+    AttribCell total() const;
 
     /** Accumulate another table cell-wise (bench aggregation). */
     void add(const AttribTable &other);
-
-    bool allZero() const;
 };
 
 /**
- * The table as a JSON object keyed origin -> loop class, e.g.
+ * The per-origin provenance view as a JSON object keyed by origin
+ * name, e.g.
+ *   {"fill": {"builds": N, "hits": N, ...}, "precon": {...}}
+ * Each row is originSum() without the instruction-type histograms.
+ * Used by the BENCH JSON rows.
+ */
+std::string renderProvenanceJson(const AttribTable &table);
+
+/**
+ * The cells as a JSON object keyed origin -> loop class, e.g.
  *   {"fill": {"loop_body": {"builds": N, ...,
  *             "inst_built": {"cond_branch": N, ...},
  *             "inst_served": {...}}, ...}, "precon": {...}}
  * Used by the BENCH JSON rows and the aggregate report section.
  */
 std::string renderAttribJson(const AttribTable &table);
-
-/**
- * The TPRE_ATTRIB knob: unset or "1" enables attribution, "0"
- * disables it, anything else is fatal (same strict convention as
- * TPRE_ARENA / TPRE_BLOCK_CACHE). Parsed on every call — callers
- * that need a stable answer (the TraceCache) sample it once at
- * construction.
- */
-bool attribDefaultEnabled();
 
 } // namespace tpre
 

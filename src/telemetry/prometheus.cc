@@ -127,6 +127,21 @@ renderRegistryPrometheus()
 namespace
 {
 
+/** One labeled series source: its label set and the cell it reads. */
+struct LabeledCell
+{
+    std::string labels;
+    AttribCell cell;
+};
+
+/** A counter family reading one value per ledger cell. */
+struct CellFamily
+{
+    const char *family;
+    const char *help;
+    std::uint64_t (*get)(const AttribCell &);
+};
+
 void
 familyHeader(std::string &out, const char *family, const char *help)
 {
@@ -135,166 +150,137 @@ familyHeader(std::string &out, const char *family, const char *help)
 }
 
 void
-originSample(std::string &out, const char *family,
-             TraceOrigin origin, std::uint64_t value)
+emitFamily(std::string &out, const CellFamily &f,
+           const std::vector<LabeledCell> &rows)
 {
-    out += std::string(family) + "{origin=\"" +
-           traceOriginName(origin) + "\"} " + u64(value) + "\n";
+    familyHeader(out, f.family, f.help);
+    for (const LabeledCell &row : rows) {
+        out += std::string(f.family) + "{" + row.labels + "} " +
+               u64(f.get(row.cell)) + "\n";
+    }
 }
+
+/**
+ * A family split by one more label: each labeled cell yields @p n
+ * samples, sample i labeled @p label = name(i) with value
+ * value(cell, i).
+ */
+template <typename Name, typename Value>
+void
+emitSplitFamily(std::string &out, const char *family,
+                const char *help, const std::vector<LabeledCell> &rows,
+                const char *label, std::size_t n, Name name,
+                Value value)
+{
+    familyHeader(out, family, help);
+    for (const LabeledCell &row : rows) {
+        for (std::size_t i = 0; i < n; ++i) {
+            out += std::string(family) + "{" + row.labels + "," +
+                   label + "=\"" + name(i) + "\"} " +
+                   u64(value(row.cell, i)) + "\n";
+        }
+    }
+}
+
+std::string
+originLabel(TraceOrigin origin)
+{
+    return std::string("origin=\"") + traceOriginName(origin) + "\"";
+}
+
+const CellFamily kProvenanceFamilies[] = {
+    {"tpre_provenance_builds_total",
+     "Trace-cache lines inserted, by builder origin",
+     [](const AttribCell &c) { return c.builds; }},
+    {"tpre_provenance_hits_total", "Fetches served, by builder origin",
+     [](const AttribCell &c) { return c.hits; }},
+    {"tpre_provenance_first_uses_total",
+     "Lines that served at least one fetch, by origin",
+     [](const AttribCell &c) { return c.firstUses; }},
+    {"tpre_provenance_first_use_latency_cycles_total",
+     "Summed construction-to-first-use latency, by origin",
+     [](const AttribCell &c) { return c.firstUseLatencySum; }},
+    {"tpre_provenance_evicted_unused_total",
+     "Evicted lines that never served a fetch, by origin",
+     [](const AttribCell &c) { return c.evictedUnused; }},
+};
+
+const CellFamily kAttribFamilies[] = {
+    {"tpre_attrib_builds_total",
+     "Trace builds, by origin and loop-structure class",
+     [](const AttribCell &c) { return c.builds; }},
+    {"tpre_attrib_hits_total",
+     "Trace-cache hits, by origin and loop-structure class",
+     [](const AttribCell &c) { return c.hits; }},
+    {"tpre_attrib_first_uses_total",
+     "First uses, by origin and loop-structure class",
+     [](const AttribCell &c) { return c.firstUses; }},
+    {"tpre_attrib_first_use_latency_cycles_total",
+     "Summed first-use latency, by origin and loop class",
+     [](const AttribCell &c) { return c.firstUseLatencySum; }},
+    {"tpre_attrib_evictions_total",
+     "Evictions (all reasons), by origin and loop class",
+     [](const AttribCell &c) { return c.evictions(); }},
+    {"tpre_attrib_evicted_unused_total",
+     "Unused evictions, by origin and loop class",
+     [](const AttribCell &c) { return c.evictedUnused; }},
+};
 
 } // namespace
 
 std::string
-renderProvenancePrometheus(const ProvenanceTable &table)
+renderLedgerPrometheus(const AttribTable &table)
 {
-    std::string out;
-
-    const struct
-    {
-        const char *family;
-        const char *help;
-        std::uint64_t (*get)(const OriginProvenance &);
-    } families[] = {
-        {"tpre_provenance_builds_total",
-         "Trace-cache lines inserted, by builder origin",
-         [](const OriginProvenance &o) { return o.builds; }},
-        {"tpre_provenance_hits_total",
-         "Fetches served, by builder origin",
-         [](const OriginProvenance &o) { return o.hits; }},
-        {"tpre_provenance_first_uses_total",
-         "Lines that served at least one fetch, by origin",
-         [](const OriginProvenance &o) { return o.firstUses; }},
-        {"tpre_provenance_first_use_latency_cycles_total",
-         "Summed construction-to-first-use latency, by origin",
-         [](const OriginProvenance &o) {
-             return o.firstUseLatencySum;
-         }},
-        {"tpre_provenance_evicted_unused_total",
-         "Evicted lines that never served a fetch, by origin",
-         [](const OriginProvenance &o) { return o.evictedUnused; }},
-    };
-    for (const auto &f : families) {
-        familyHeader(out, f.family, f.help);
-        for (std::size_t i = 0; i < kNumOrigins; ++i) {
-            const auto origin = static_cast<TraceOrigin>(i);
-            originSample(out, f.family, origin,
-                         f.get(table.of(origin)));
-        }
-    }
-
-    familyHeader(out, "tpre_provenance_evictions_total",
-                 "Line evictions, by builder origin and reason");
-    const struct
-    {
-        const char *reason;
-        std::uint64_t (*get)(const OriginProvenance &);
-    } reasons[] = {
-        {"capacity",
-         [](const OriginProvenance &o) { return o.evictCapacity; }},
-        {"refresh",
-         [](const OriginProvenance &o) { return o.evictRefresh; }},
-        {"invalidate",
-         [](const OriginProvenance &o) {
-             return o.evictInvalidate;
-         }},
-        {"clear",
-         [](const OriginProvenance &o) { return o.evictClear; }},
-    };
+    std::vector<LabeledCell> origins;
+    std::vector<LabeledCell> cells;
     for (std::size_t i = 0; i < kNumOrigins; ++i) {
         const auto origin = static_cast<TraceOrigin>(i);
-        for (const auto &r : reasons) {
-            out += std::string("tpre_provenance_evictions_total") +
-                   "{origin=\"" + traceOriginName(origin) +
-                   "\",reason=\"" + r.reason + "\"} " +
-                   u64(r.get(table.of(origin))) + "\n";
+        origins.push_back(
+            {originLabel(origin), table.originSum(origin)});
+        for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
+            const auto cls = static_cast<LoopClass>(c);
+            cells.push_back({originLabel(origin) + ",loop_class=\"" +
+                                 loopClassName(cls) + "\"",
+                             table.of(origin, cls)});
         }
     }
-    return out;
-}
 
-std::string
-renderAttribPrometheus(const AttribTable &table)
-{
     std::string out;
+    for (const CellFamily &f : kProvenanceFamilies)
+        emitFamily(out, f, origins);
+    static const char *const kReasons[] = {"capacity", "refresh",
+                                           "invalidate", "clear"};
+    static constexpr std::uint64_t AttribCell::*kReasonFields[] = {
+        &AttribCell::evictCapacity, &AttribCell::evictRefresh,
+        &AttribCell::evictInvalidate, &AttribCell::evictClear};
+    emitSplitFamily(
+        out, "tpre_provenance_evictions_total",
+        "Line evictions, by builder origin and reason", origins,
+        "reason", std::size(kReasons),
+        [](std::size_t i) { return kReasons[i]; },
+        [](const AttribCell &c, std::size_t i) {
+            return c.*kReasonFields[i];
+        });
 
-    const struct
-    {
-        const char *family;
-        const char *help;
-        std::uint64_t (*get)(const AttribCell &);
-    } families[] = {
-        {"tpre_attrib_builds_total",
-         "Trace builds, by origin and loop-structure class",
-         [](const AttribCell &c) { return c.builds; }},
-        {"tpre_attrib_hits_total",
-         "Trace-cache hits, by origin and loop-structure class",
-         [](const AttribCell &c) { return c.hits; }},
-        {"tpre_attrib_first_uses_total",
-         "First uses, by origin and loop-structure class",
-         [](const AttribCell &c) { return c.firstUses; }},
-        {"tpre_attrib_first_use_latency_cycles_total",
-         "Summed first-use latency, by origin and loop class",
-         [](const AttribCell &c) { return c.firstUseLatencySum; }},
-        {"tpre_attrib_evictions_total",
-         "Evictions (all reasons), by origin and loop class",
-         [](const AttribCell &c) { return c.evictions(); }},
-        {"tpre_attrib_evicted_unused_total",
-         "Unused evictions, by origin and loop class",
-         [](const AttribCell &c) { return c.evictedUnused; }},
+    for (const CellFamily &f : kAttribFamilies)
+        emitFamily(out, f, cells);
+    const auto kindName = [](std::size_t k) {
+        return instKindName(static_cast<InstKind>(k));
     };
-    for (const auto &f : families) {
-        familyHeader(out, f.family, f.help);
-        for (std::size_t i = 0; i < kNumOrigins; ++i) {
-            const auto origin = static_cast<TraceOrigin>(i);
-            for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
-                const auto cls = static_cast<LoopClass>(c);
-                out += std::string(f.family) + "{origin=\"" +
-                       traceOriginName(origin) + "\",loop_class=\"" +
-                       loopClassName(cls) + "\"} " +
-                       u64(f.get(table.of(origin, cls))) + "\n";
-            }
-        }
-    }
-
-    const struct
-    {
-        const char *family;
-        const char *help;
-        const std::array<std::uint64_t, kNumInstKinds> &(*get)(
-            const AttribCell &);
-    } kindFamilies[] = {
-        {"tpre_attrib_inst_built_total",
-         "Instructions inserted, by origin, loop class and type",
-         [](const AttribCell &c)
-             -> const std::array<std::uint64_t, kNumInstKinds> & {
-             return c.instBuilt;
-         }},
-        {"tpre_attrib_inst_served_total",
-         "Instructions served, by origin, loop class and type",
-         [](const AttribCell &c)
-             -> const std::array<std::uint64_t, kNumInstKinds> & {
-             return c.instServed;
-         }},
-    };
-    for (const auto &f : kindFamilies) {
-        familyHeader(out, f.family, f.help);
-        for (std::size_t i = 0; i < kNumOrigins; ++i) {
-            const auto origin = static_cast<TraceOrigin>(i);
-            for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
-                const auto cls = static_cast<LoopClass>(c);
-                const auto &counts = f.get(table.of(origin, cls));
-                for (std::size_t k = 0; k < kNumInstKinds; ++k) {
-                    out += std::string(f.family) + "{origin=\"" +
-                           traceOriginName(origin) +
-                           "\",loop_class=\"" + loopClassName(cls) +
-                           "\",inst_type=\"" +
-                           instKindName(
-                               static_cast<InstKind>(k)) +
-                           "\"} " + u64(counts[k]) + "\n";
-                }
-            }
-        }
-    }
+    emitSplitFamily(
+        out, "tpre_attrib_inst_built_total",
+        "Instructions inserted, by origin, loop class and type", cells,
+        "inst_type", kNumInstKinds, kindName,
+        [](const AttribCell &c, std::size_t k) {
+            return c.instBuilt[k];
+        });
+    emitSplitFamily(
+        out, "tpre_attrib_inst_served_total",
+        "Instructions served, by origin, loop class and type", cells,
+        "inst_type", kNumInstKinds, kindName,
+        [](const AttribCell &c, std::size_t k) {
+            return c.instServed[k];
+        });
     return out;
 }
 
@@ -303,63 +289,46 @@ namespace
 
 /**
  * Process-wide ledger aggregate behind the /metrics scrape: every
- * finished Simulator run folds its tables in (the parallel sweep
+ * finished Simulator run folds its table in (the parallel sweep
  * publishes from worker threads, hence the mutex).
  */
-struct PublishedLedgers
+struct PublishedLedger
 {
     std::mutex mutex;
-    ProvenanceTable prov;
-    AttribTable attrib;
+    AttribTable table;
 };
 
-PublishedLedgers &
-publishedLedgers()
+PublishedLedger &
+publishedLedger()
 {
-    static PublishedLedgers ledgers;
-    return ledgers;
+    static PublishedLedger ledger;
+    return ledger;
 }
 
 } // namespace
 
 void
-publishRunLedgers(const ProvenanceTable &prov,
-                  const AttribTable &attrib)
+publishRunLedgers(const AttribTable &table)
 {
-    PublishedLedgers &pub = publishedLedgers();
+    PublishedLedger &pub = publishedLedger();
     const std::lock_guard<std::mutex> lock(pub.mutex);
-    for (std::size_t i = 0; i < kNumOrigins; ++i) {
-        OriginProvenance &a = pub.prov.origins[i];
-        const OriginProvenance &b = prov.origins[i];
-        a.builds += b.builds;
-        a.hits += b.hits;
-        a.firstUses += b.firstUses;
-        a.firstUseLatencySum += b.firstUseLatencySum;
-        a.evictCapacity += b.evictCapacity;
-        a.evictRefresh += b.evictRefresh;
-        a.evictInvalidate += b.evictInvalidate;
-        a.evictClear += b.evictClear;
-        a.evictedUnused += b.evictedUnused;
-    }
-    pub.attrib.add(attrib);
+    pub.table.add(table);
 }
 
 std::string
 renderPublishedLedgers()
 {
-    PublishedLedgers &pub = publishedLedgers();
+    PublishedLedger &pub = publishedLedger();
     const std::lock_guard<std::mutex> lock(pub.mutex);
-    return renderProvenancePrometheus(pub.prov) +
-           renderAttribPrometheus(pub.attrib);
+    return renderLedgerPrometheus(pub.table);
 }
 
 void
 resetPublishedLedgers()
 {
-    PublishedLedgers &pub = publishedLedgers();
+    PublishedLedger &pub = publishedLedger();
     const std::lock_guard<std::mutex> lock(pub.mutex);
-    pub.prov = ProvenanceTable();
-    pub.attrib = AttribTable();
+    pub.table = AttribTable();
 }
 
 } // namespace tpre::telemetry

@@ -45,29 +45,25 @@ std::string renderPrometheus(const std::vector<obs::MetricRow> &rows);
 std::string renderRegistryPrometheus();
 
 /**
- * Render @p table as labeled counter families, e.g.
+ * Render the trace-cache ledger as labeled counter families: the
+ * per-origin provenance view (origin row sums), e.g.
  *   tpre_provenance_builds_total{origin="fill"} 42
  * with one eviction family split by reason
- * (tpre_provenance_evictions_total{origin="...",reason="..."}).
- */
-std::string renderProvenancePrometheus(const ProvenanceTable &table);
-
-/**
- * Render @p table as origin × loop_class labeled families
+ * (tpre_provenance_evictions_total{origin="...",reason="..."}),
+ * then the cells as origin × loop_class families
  * (tpre_attrib_builds_total{origin="...",loop_class="..."}), with
  * the instruction-type histograms as a third label
  * (tpre_attrib_inst_served_total{...,inst_type="..."}).
  */
-std::string renderAttribPrometheus(const AttribTable &table);
+std::string renderLedgerPrometheus(const AttribTable &table);
 
 /**
- * Fold one finished run's trace-cache ledgers into the
- * process-wide aggregate the /metrics scrape serves. Thread-safe
- * (parallel sweep workers publish concurrently); Simulator::run
- * calls this once per completed run.
+ * Fold one finished run's trace-cache ledger into the process-wide
+ * aggregate the /metrics scrape serves. Thread-safe (parallel
+ * sweep workers publish concurrently); Simulator::run calls this
+ * once per completed run.
  */
-void publishRunLedgers(const ProvenanceTable &prov,
-                       const AttribTable &attrib);
+void publishRunLedgers(const AttribTable &table);
 
 /** Render the process-wide aggregate as labeled families. */
 std::string renderPublishedLedgers();

@@ -66,7 +66,7 @@ FastSim::processTrace(const std::vector<DynInst> &window,
             // and free the buffer entry (Section 3.1). insert()
             // hands back the stored image directly, so the served
             // trace needs no second probe; servedAtInsert makes
-            // the provenance ledger count the serve as the line's
+            // the trace-cache ledger count the serve as the line's
             // first use (its latency is the engine's lead time).
             stored = traceCache_.insert(*buffered,
                                         /*servedAtInsert=*/true);
@@ -530,7 +530,6 @@ FastSim::syncStats()
         stats_.precon = engine_->stats();
     if (blocks_)
         stats_.blocks = blocks_->stats();
-    stats_.provenance = traceCache_.provenance();
     stats_.attrib = traceCache_.attrib();
     return stats_;
 }

@@ -107,12 +107,10 @@ struct FastSimStats
      *  some earlier point (so it was lost to churn, not never
      *  constructed). */
     std::uint64_t missEverConstructed = 0;
-    /** Per-origin trace-cache line provenance (copied at run end). */
-    ProvenanceTable provenance;
     /**
-     * Reuse attribution (origin × loop-class cells with inst-type
-     * histograms; copied at run end). All zeros when attribution is
-     * inactive (TPRE_OBS_DISABLED build or TPRE_ATTRIB=0).
+     * The trace-cache ledger (origin × loop-class cells with
+     * inst-type histograms; copied at run end). Per-origin
+     * provenance is attrib.originSum(origin).
      */
     AttribTable attrib;
     /**
@@ -221,7 +219,7 @@ class FastSim
 
     /**
      * Refresh the component statistics (I-cache, engine, blocks,
-     * provenance) into stats() and return it — finishRun() without
+     * ledger) into stats() and return it — finishRun() without
      * the end-of-run conservation check, safe mid-run. The sampling
      * controller snapshots this around each measurement window.
      */

@@ -354,7 +354,6 @@ TraceProcessor::run(InstCount maxInsts)
     stats_.cycles = now_;
     stats_.icache = icache_.stats();
     stats_.backend = backend_.stats();
-    stats_.provenance = traceCache_.provenance();
     stats_.attrib = traceCache_.attrib();
     if (engine_)
         stats_.precon = engine_->stats();

@@ -80,9 +80,7 @@ struct ProcessorStats
     TimingBackend::Stats backend;
     PreconstructionEngine::Stats precon;
     Preprocessor::Stats prep;
-    /** Per-origin trace-cache line provenance (copied at run end). */
-    ProvenanceTable provenance;
-    /** Reuse attribution (zeros when inactive); see FastSimStats. */
+    /** The trace-cache ledger (copied at run end); see FastSimStats. */
     AttribTable attrib;
 
     double
@@ -107,7 +105,7 @@ class TraceProcessor
 
     const ProcessorStats &stats() const { return stats_; }
 
-    /** The primary trace cache (provenance reconciliation). */
+    /** The primary trace cache (ledger reconciliation). */
     const TraceCache &traceCache() const { return traceCache_; }
 
   private:

@@ -44,10 +44,9 @@ class TraceCache
      * @param servedAtInsert The caller dispatches the stored image
      *        directly (preconstruction-buffer promotion on the
      *        fast path inserts-then-serves without a second
-     *        lookup); the provenance ledger records the serve as a
-     *        hit and the line's first use. The tcache.hits obs
-     *        counter is untouched — that counter pins lookup()
-     *        hits only.
+     *        lookup); the ledger records the serve as a hit and
+     *        the line's first use. The tcache.hits obs counter is
+     *        untouched — that counter pins lookup() hits only.
      *
      * @return the stored image, so hit paths that insert-then-serve
      *         (preconstruction-buffer promotion) need no second
@@ -72,7 +71,7 @@ class TraceCache
     std::size_t numValid() const;
 
     /**
-     * Advance the provenance clock. Simulators call this with
+     * Advance the ledger clock. Simulators call this with
      * their cycle count before each lookup/insert burst so
      * first-use latencies are measured in simulated cycles; code
      * that never calls it (unit tests, the preconstruction
@@ -86,20 +85,15 @@ class TraceCache
             now_ = now;
     }
 
-    /** Per-origin lifetime ledger of every line this cache held. */
-    const ProvenanceTable &provenance() const { return prov_; }
-
     /**
-     * The reuse-attribution ledger (origin × loop-class cells,
-     * instruction-type histograms). All zeros unless attribution is
-     * active (obs compiled in and TPRE_ATTRIB != 0).
+     * The ledger of every line this cache held: one
+     * (origin × loop-class) cell per line outcome, with
+     * instruction-type histograms. The per-origin provenance view
+     * is attrib().originSum(origin).
      */
     const AttribTable &attrib() const { return attrib_; }
 
-    /** Is attribution bookkeeping live in this cache? */
-    bool attribActive() const { return attribOn_; }
-
-    /** Checkpoint/restore entries, LRU state and provenance. */
+    /** Checkpoint/restore entries, LRU state and the ledger. */
     void save(mem::ByteWriter &w) const;
     void restore(mem::ByteReader &r);
 
@@ -112,9 +106,8 @@ class TraceCache
         std::uint64_t hits = 0;
         Trace trace;
         /**
-         * Attribution class, computed once at insert (the body is
-         * immutable while resident). Only meaningful when the cache
-         * has attribution active; recomputed from the trace on
+         * Ledger class, computed once at insert (the body is
+         * immutable while resident); recomputed from the trace on
          * checkpoint restore rather than serialized.
          */
         TraceClass cls;
@@ -132,7 +125,7 @@ class TraceCache
 
     /** Record a serve on @p entry (lookup hit or promote-serve). */
     void recordUse(Entry &entry);
-    /** Close @p entry's provenance record with @p reason. */
+    /** Close @p entry's ledger record with @p reason. */
     void recordEviction(const Entry &entry, EvictReason reason);
 
   private:
@@ -140,15 +133,8 @@ class TraceCache
     std::size_t numSets_;
     mem::ArenaVector<Entry> entries_;
     std::uint64_t useClock_ = 0;
-    /** Provenance clock (simulated cycles); see advanceTo(). */
+    /** Ledger clock (simulated cycles); see advanceTo(). */
     Cycle now_ = 0;
-    ProvenanceTable prov_;
-    /**
-     * Attribution bookkeeping gate, sampled once at construction:
-     * false in TPRE_OBS_DISABLED builds (the accumulation sites
-     * compile down to the flag test alone) and under TPRE_ATTRIB=0.
-     */
-    bool attribOn_;
     AttribTable attrib_;
 };
 

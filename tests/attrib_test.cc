@@ -1,14 +1,13 @@
 /**
  * @file
  * Tests for the trace-reuse attribution ledger (DESIGN.md section
- * 17): trace classification, TraceCache accumulation, the
- * provenance reconciliation contract, the strict TPRE_ATTRIB knob,
- * and the JSON / Prometheus renderings.
+ * 12): trace classification, TraceCache accumulation, the
+ * ledger contract against independent counts, and the JSON /
+ * Prometheus renderings.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "check/invariants.hh"
@@ -164,77 +163,12 @@ TEST(ClassifyTest, LinkingJalrIsCallNotIndirectBranch)
 }
 
 // ---------------------------------------------------------------
-// The strict TPRE_ATTRIB knob.
+// TraceCache accumulation + the ledger contract.
 // ---------------------------------------------------------------
 
-class AttribEnvTest : public ::testing::Test
+TEST(AttribCacheTest, InsertHitEvictAccumulate)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        const char *env = std::getenv("TPRE_ATTRIB");
-        had_ = env != nullptr;
-        if (had_)
-            saved_ = env;
-        unsetenv("TPRE_ATTRIB");
-    }
-
-    void
-    TearDown() override
-    {
-        if (had_)
-            setenv("TPRE_ATTRIB", saved_.c_str(), 1);
-        else
-            unsetenv("TPRE_ATTRIB");
-    }
-
-  private:
-    bool had_ = false;
-    std::string saved_;
-};
-
-TEST_F(AttribEnvTest, UnsetDefaultsToEnabled)
-{
-    EXPECT_TRUE(attribDefaultEnabled());
-}
-
-TEST_F(AttribEnvTest, ZeroAndOneParseStrictly)
-{
-    setenv("TPRE_ATTRIB", "0", 1);
-    EXPECT_FALSE(attribDefaultEnabled());
-    setenv("TPRE_ATTRIB", "1", 1);
-    EXPECT_TRUE(attribDefaultEnabled());
-}
-
-TEST_F(AttribEnvTest, JunkIsFatal)
-{
-    for (const char *bad : {"on", "true", "2", "01", "", " 1"}) {
-        EXPECT_EXIT(
-            {
-                setenv("TPRE_ATTRIB", bad, 1);
-                attribDefaultEnabled();
-            },
-            ::testing::ExitedWithCode(1), "not 0 or 1")
-            << "TPRE_ATTRIB='" << bad << "' accepted";
-    }
-}
-
-// ---------------------------------------------------------------
-// TraceCache accumulation + reconciliation contract.
-// ---------------------------------------------------------------
-
-class AttribCacheTest : public AttribEnvTest
-{
-};
-
-TEST_F(AttribCacheTest, InsertHitEvictAccumulate)
-{
-    if (!obs::kEnabled)
-        GTEST_SKIP() << "attribution compiled out";
-
     TraceCache tc(64);
-    ASSERT_TRUE(tc.attribActive());
 
     Trace loop = traceOf({{alu(), false}, {condBranch(-8), true}});
     loop.buildCycle = 100; // the builder's stamp
@@ -271,18 +205,16 @@ TEST_F(AttribCacheTest, InsertHitEvictAccumulate)
     EXPECT_EQ(other.evictClear, 1u);
     EXPECT_EQ(other.evictedUnused, 1u);
 
-    // The ledger must reconcile against provenance at every point.
-    EXPECT_FALSE(check::attribReconciles(tc.attrib(),
-                                         tc.provenance(),
-                                         tc.attribActive())
+    // Two demand fills (misses), two lookup hits, nothing resident.
+    EXPECT_FALSE(check::ledgerReconciles(tc.attrib(), /*tcHits=*/2,
+                                         /*pbHits=*/0,
+                                         /*tcMisses=*/2,
+                                         tc.numValid())
                      .has_value());
 }
 
-TEST_F(AttribCacheTest, PreconOriginLandsInPreconRows)
+TEST(AttribCacheTest, PreconOriginLandsInPreconRows)
 {
-    if (!obs::kEnabled)
-        GTEST_SKIP() << "attribution compiled out";
-
     TraceCache tc(64);
     Trace t = traceOf({{alu(), false}, {call(), true}});
     t.origin = TraceOrigin::Precon;
@@ -295,59 +227,34 @@ TEST_F(AttribCacheTest, PreconOriginLandsInPreconRows)
     EXPECT_EQ(cell.firstUses, 1u);
     EXPECT_TRUE(
         tc.attrib().originSum(TraceOrigin::FillUnit).builds == 0u);
-    EXPECT_FALSE(check::attribReconciles(tc.attrib(),
-                                         tc.provenance(),
-                                         tc.attribActive())
+    // One promotion (a buffer hit), no trace-cache traffic.
+    EXPECT_FALSE(check::ledgerReconciles(tc.attrib(), /*tcHits=*/0,
+                                         /*pbHits=*/1,
+                                         /*tcMisses=*/0,
+                                         tc.numValid())
                      .has_value());
 }
 
-TEST_F(AttribCacheTest, DisabledCacheStaysAllZero)
+TEST(AttribCacheTest, PreconBuildsWithoutBufferHitsIsAViolation)
 {
-    setenv("TPRE_ATTRIB", "0", 1);
+    // A precon line the cache holds must be matched by a buffer
+    // hit counted outside the ledger; claiming none breaks the
+    // independent-count equality.
     TraceCache tc(64);
-    EXPECT_FALSE(tc.attribActive());
-    tc.insert(traceOf({{alu(), false}, {condBranch(-8), true}}));
-    (void)tc.lookup({0x1000, 0x1, 1});
-    EXPECT_TRUE(tc.attrib().allZero());
-    // Provenance is unconditional and keeps counting regardless.
-    EXPECT_EQ(tc.provenance().of(TraceOrigin::FillUnit).builds, 1u);
-    EXPECT_FALSE(check::attribReconciles(tc.attrib(),
-                                         tc.provenance(),
-                                         tc.attribActive())
-                     .has_value());
-}
-
-TEST_F(AttribCacheTest, InactiveNonZeroTableIsAViolation)
-{
-    AttribTable table;
-    table.of(TraceOrigin::FillUnit, LoopClass::LoopBody).builds = 1;
-    const check::Violation violation = check::attribReconciles(
-        table, ProvenanceTable(), /*active=*/false);
+    Trace t = traceOf({{alu(), false}});
+    t.origin = TraceOrigin::Precon;
+    tc.insert(t, /*servedAtInsert=*/true);
+    const check::Violation violation = check::ledgerReconciles(
+        tc.attrib(), /*tcHits=*/1, /*pbHits=*/0, /*tcMisses=*/0,
+        tc.numValid());
     ASSERT_TRUE(violation.has_value());
+    EXPECT_NE(violation->find("precon builds vs pbHits"),
+              std::string::npos)
+        << *violation;
 }
 
-TEST_F(AttribCacheTest, CellProvenanceMismatchIsAViolation)
+TEST(AttribCacheTest, CheckpointRoundTripPreservesLedger)
 {
-    if (!obs::kEnabled)
-        GTEST_SKIP() << "attribution compiled out";
-
-    TraceCache tc(64);
-    tc.insert(traceOf({{alu(), false}}));
-    AttribTable skewed = tc.attrib();
-    ++skewed.of(TraceOrigin::FillUnit, LoopClass::StraightLine)
-          .builds;
-    const check::Violation violation = check::attribReconciles(
-        skewed, tc.provenance(), tc.attribActive());
-    ASSERT_TRUE(violation.has_value());
-    EXPECT_NE(violation->find("attrib-reconcile"),
-              std::string::npos);
-}
-
-TEST_F(AttribCacheTest, CheckpointRoundTripPreservesLedger)
-{
-    if (!obs::kEnabled)
-        GTEST_SKIP() << "attribution compiled out";
-
     TraceCache tc(64);
     const Trace loop =
         traceOf({{alu(), false}, {condBranch(-8), true}});
@@ -373,9 +280,10 @@ TEST_F(AttribCacheTest, CheckpointRoundTripPreservesLedger)
                   .of(TraceOrigin::FillUnit, LoopClass::LoopBody)
                   .hits,
               2u);
-    EXPECT_FALSE(check::attribReconciles(restored.attrib(),
-                                         restored.provenance(),
-                                         restored.attribActive())
+    EXPECT_FALSE(check::ledgerReconciles(restored.attrib(),
+                                         /*tcHits=*/2, /*pbHits=*/0,
+                                         /*tcMisses=*/1,
+                                         restored.numValid())
                      .has_value());
 }
 
@@ -383,7 +291,7 @@ TEST_F(AttribCacheTest, CheckpointRoundTripPreservesLedger)
 // End-to-end: a real run reconciles and lands in SimResult.
 // ---------------------------------------------------------------
 
-TEST_F(AttribCacheTest, SimulatorRunReconciles)
+TEST(AttribCacheTest, SimulatorRunReconciles)
 {
     Simulator sim;
     SimConfig cfg;
@@ -392,20 +300,15 @@ TEST_F(AttribCacheTest, SimulatorRunReconciles)
     cfg.preconBufferEntries = 128;
     const SimResult result = sim.run(cfg);
 
-    const bool active = attribDefaultEnabled() && obs::kEnabled;
-    EXPECT_FALSE(check::attribReconciles(result.attrib,
-                                          result.provenance, active)
+    // SimResult keeps no cache, so residency is taken from the
+    // ledger itself; the other counts are independent.
+    EXPECT_FALSE(check::ledgerReconciles(
+                     result.attrib,
+                     result.traces - result.tcMisses - result.pbHits,
+                     result.pbHits, result.tcMisses,
+                     result.attrib.total().resident())
                      .has_value());
-    if (active) {
-        std::uint64_t builds = 0;
-        for (std::size_t o = 0; o < kNumOrigins; ++o)
-            builds += result.attrib
-                          .originSum(static_cast<TraceOrigin>(o))
-                          .builds;
-        EXPECT_GT(builds, 0u);
-    } else {
-        EXPECT_TRUE(result.attrib.allZero());
-    }
+    EXPECT_GT(result.attrib.total().builds, 0u);
 }
 
 // ---------------------------------------------------------------
@@ -441,8 +344,7 @@ TEST(AttribRenderTest, PrometheusLabeledFamilies)
     table.of(TraceOrigin::Precon, LoopClass::LoopBody)
         .instServed[std::size_t(InstKind::LoadStore)] = 4;
 
-    const std::string text =
-        telemetry::renderAttribPrometheus(table);
+    const std::string text = telemetry::renderLedgerPrometheus(table);
     EXPECT_NE(text.find("# TYPE tpre_attrib_hits_total counter"),
               std::string::npos);
     EXPECT_NE(text.find("tpre_attrib_hits_total{origin=\"fill\","
@@ -457,13 +359,14 @@ TEST(AttribRenderTest, PrometheusLabeledFamilies)
 
 TEST(AttribRenderTest, ProvenancePrometheusLabeledFamilies)
 {
-    ProvenanceTable table;
-    table.origins[std::size_t(TraceOrigin::Precon)].builds = 11;
-    table.origins[std::size_t(TraceOrigin::FillUnit)]
+    // The per-origin families are the origin row sums.
+    AttribTable table;
+    table.of(TraceOrigin::Precon, LoopClass::LoopBody).builds = 4;
+    table.of(TraceOrigin::Precon, LoopClass::CallChain).builds = 7;
+    table.of(TraceOrigin::FillUnit, LoopClass::LoopExit)
         .evictCapacity = 2;
 
-    const std::string text =
-        telemetry::renderProvenancePrometheus(table);
+    const std::string text = telemetry::renderLedgerPrometheus(table);
     EXPECT_NE(
         text.find("tpre_provenance_builds_total{origin=\"precon\"}"
                   " 11"),
@@ -477,13 +380,11 @@ TEST(AttribRenderTest, ProvenancePrometheusLabeledFamilies)
 TEST(AttribRenderTest, PublishedLedgersAggregateAcrossRuns)
 {
     telemetry::resetPublishedLedgers();
-    ProvenanceTable prov;
-    prov.origins[std::size_t(TraceOrigin::FillUnit)].builds = 5;
     AttribTable attrib;
     attrib.of(TraceOrigin::FillUnit, LoopClass::StraightLine)
         .builds = 5;
-    telemetry::publishRunLedgers(prov, attrib);
-    telemetry::publishRunLedgers(prov, attrib);
+    telemetry::publishRunLedgers(attrib);
+    telemetry::publishRunLedgers(attrib);
 
     const std::string text = telemetry::renderPublishedLedgers();
     EXPECT_NE(
@@ -497,39 +398,22 @@ TEST(AttribRenderTest, PublishedLedgersAggregateAcrossRuns)
 }
 
 // ---------------------------------------------------------------
-// BENCH JSON presence contract.
+// BENCH JSON: every report carries the ledger.
 // ---------------------------------------------------------------
 
-class AttribReportTest : public AttribEnvTest
+TEST(AttribReportTest, ActiveRunsCarryAttribSections)
 {
-  protected:
-    static std::string
-    renderedReport()
-    {
-        BenchReport report("attrib_presence_test", 1);
-        Simulator sim;
-        SimConfig cfg;
-        cfg.benchmark = "compress";
-        cfg.maxInsts = 20000;
-        report.add(sim.run(cfg));
-        return report.render(0.5);
-    }
-};
-
-TEST_F(AttribReportTest, ActiveRunsCarryAttribSections)
-{
-    if (!obs::kEnabled)
-        GTEST_SKIP() << "attribution compiled out";
-    const std::string json = renderedReport();
+    BenchReport report("attrib_presence_test", 1);
+    Simulator sim;
+    SimConfig cfg;
+    cfg.benchmark = "compress";
+    cfg.maxInsts = 20000;
+    report.add(sim.run(cfg));
+    const std::string json = report.render(0.5);
     EXPECT_NE(json.find("\"attrib\": {\"fill\""),
               std::string::npos);
-}
-
-TEST_F(AttribReportTest, DisabledRunsOmitAttribEntirely)
-{
-    setenv("TPRE_ATTRIB", "0", 1);
-    const std::string json = renderedReport();
-    EXPECT_EQ(json.find("\"attrib\""), std::string::npos);
+    EXPECT_NE(json.find("\"provenance\": {\"fill\""),
+              std::string::npos);
 }
 
 } // namespace

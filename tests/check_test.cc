@@ -492,6 +492,47 @@ TEST(StatsConserved, ProcessorAllowsOneInFlightLookup)
     EXPECT_TRUE(check::statsConserved(s).has_value());
 }
 
+TEST(FastStatsEqual, FlagsServedCountMovedBetweenKinds)
+{
+    // Same hits, same per-cell instruction total: only the kind
+    // split differs, and replay equality must still see it.
+    FastSimStats live;
+    AttribCell &cell =
+        live.attrib.of(TraceOrigin::FillUnit, LoopClass::LoopBody);
+    cell.hits = 2;
+    cell.instServed[std::size_t(InstKind::Alu)] = 3;
+    cell.instServed[std::size_t(InstKind::LoadStore)] = 1;
+    FastSimStats replayed = live;
+    EXPECT_FALSE(check::fastStatsEqual(live, replayed).has_value());
+
+    AttribCell &moved = replayed.attrib.of(TraceOrigin::FillUnit,
+                                           LoopClass::LoopBody);
+    --moved.instServed[std::size_t(InstKind::Alu)];
+    ++moved.instServed[std::size_t(InstKind::LoadStore)];
+    const Violation v = check::fastStatsEqual(live, replayed);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_NE(v->find("attrib.fill.loop_body.instServed.load_store"),
+              std::string::npos)
+        << *v;
+}
+
+TEST(FastStatsEqual, FlagsEvictionMovedBetweenReasons)
+{
+    FastSimStats live;
+    live.attrib.of(TraceOrigin::Precon, LoopClass::CallChain)
+        .evictCapacity = 1;
+    FastSimStats replayed = live;
+    AttribCell &moved = replayed.attrib.of(TraceOrigin::Precon,
+                                           LoopClass::CallChain);
+    moved.evictCapacity = 0;
+    moved.evictClear = 1;
+    const Violation v = check::fastStatsEqual(live, replayed);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_NE(v->find("attrib.precon.call_chain.evictCapacity"),
+              std::string::npos)
+        << *v;
+}
+
 TEST(RasWellFormed, DefaultStackIsSane)
 {
     ReturnAddressStack ras;

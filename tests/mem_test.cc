@@ -219,6 +219,18 @@ TEST(CheckpointDeathTest, BadMagicIsFatal)
     EXPECT_DEATH(mem::Checkpoint::deserialize(wire), "bad magic");
 }
 
+TEST(CheckpointDeathTest, WrongVersionIsFatal)
+{
+    mem::Checkpoint ck;
+    ck.bytes = {1, 2, 3};
+    std::vector<std::uint8_t> wire = ck.serialize();
+    // The 16-bit version follows the 32-bit magic.
+    wire[sizeof(mem::Checkpoint::kMagic)] ^= 0xFF;
+    wire[sizeof(mem::Checkpoint::kMagic) + 1] ^= 0xFF;
+    EXPECT_DEATH(mem::Checkpoint::deserialize(wire),
+                 "unsupported version");
+}
+
 // --- FastSim checkpoint/fork contract ---------------------------
 
 FastSimConfig

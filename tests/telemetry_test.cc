@@ -33,7 +33,7 @@
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/heartbeat.hh"
 #include "telemetry/prometheus.hh"
-#include "telemetry/provenance.hh"
+#include "telemetry/attrib.hh"
 #include "telemetry/run_registry.hh"
 #include "telemetry/server.hh"
 #include "tproc/fast_sim.hh"
@@ -365,28 +365,31 @@ TEST(ProvenanceTest, LedgerTracksBuildsHitsAndEvictions)
     tc.insert(provTrace(0x1000, TraceOrigin::FillUnit));
     tc.insert(provTrace(0x2000, TraceOrigin::Precon));
 
-    const ProvenanceTable &prov = tc.provenance();
-    EXPECT_EQ(prov.of(TraceOrigin::FillUnit).builds, 1u);
-    EXPECT_EQ(prov.of(TraceOrigin::Precon).builds, 1u);
-    EXPECT_EQ(prov.totalHits(), 0u);
+    // The provenance view is the ledger's origin row sum.
+    const auto prov = [&tc](TraceOrigin origin) {
+        return tc.attrib().originSum(origin);
+    };
+    EXPECT_EQ(prov(TraceOrigin::FillUnit).builds, 1u);
+    EXPECT_EQ(prov(TraceOrigin::Precon).builds, 1u);
+    EXPECT_EQ(tc.attrib().total().hits, 0u);
 
     // Two lookups: first use + a repeat hit.
     EXPECT_NE(tc.lookup({0x1000, 0, 0}), nullptr);
     EXPECT_NE(tc.lookup({0x1000, 0, 0}), nullptr);
-    EXPECT_EQ(prov.of(TraceOrigin::FillUnit).hits, 2u);
-    EXPECT_EQ(prov.of(TraceOrigin::FillUnit).firstUses, 1u);
+    EXPECT_EQ(prov(TraceOrigin::FillUnit).hits, 2u);
+    EXPECT_EQ(prov(TraceOrigin::FillUnit).firstUses, 1u);
 
     // Invalidate the never-used precon line: evicted unused.
     EXPECT_TRUE(tc.invalidate({0x2000, 0, 0}));
-    EXPECT_EQ(prov.of(TraceOrigin::Precon).evictInvalidate, 1u);
-    EXPECT_EQ(prov.of(TraceOrigin::Precon).evictedUnused, 1u);
+    EXPECT_EQ(prov(TraceOrigin::Precon).evictInvalidate, 1u);
+    EXPECT_EQ(prov(TraceOrigin::Precon).evictedUnused, 1u);
 
     // clear() closes the remaining line's record.
     tc.clear();
-    EXPECT_EQ(prov.of(TraceOrigin::FillUnit).evictClear, 1u);
-    EXPECT_EQ(prov.totalBuilds() - prov.totalEvictions(),
-              tc.numValid());
-    EXPECT_EQ(prov.resident(), 0u);
+    EXPECT_EQ(prov(TraceOrigin::FillUnit).evictClear, 1u);
+    const AttribCell total = tc.attrib().total();
+    EXPECT_EQ(total.builds - total.evictions(), tc.numValid());
+    EXPECT_EQ(total.resident(), 0u);
 }
 
 TEST(ProvenanceTest, FirstUseLatencyMeasuredOnProvenanceClock)
@@ -397,8 +400,8 @@ TEST(ProvenanceTest, FirstUseLatencyMeasuredOnProvenanceClock)
                         /*buildCycle=*/40));
     tc.advanceTo(150);
     EXPECT_NE(tc.lookup({0x1000, 0, 0}), nullptr);
-    const OriginProvenance &pre = tc.provenance().of(
-        TraceOrigin::Precon);
+    const AttribCell pre =
+        tc.attrib().originSum(TraceOrigin::Precon);
     EXPECT_EQ(pre.firstUses, 1u);
     EXPECT_EQ(pre.firstUseLatencySum, 110u);  // 150 - 40
     EXPECT_DOUBLE_EQ(pre.meanFirstUseLatency(), 110.0);
@@ -413,8 +416,8 @@ TEST(ProvenanceTest, ServedAtInsertCountsAsHitAndFirstUse)
         reg.counterThreadValue("tcache.hits");
     tc.insert(provTrace(0x1000, TraceOrigin::Precon),
               /*servedAtInsert=*/true);
-    const OriginProvenance &pre = tc.provenance().of(
-        TraceOrigin::Precon);
+    const AttribCell pre =
+        tc.attrib().originSum(TraceOrigin::Precon);
     EXPECT_EQ(pre.builds, 1u);
     EXPECT_EQ(pre.hits, 1u);
     EXPECT_EQ(pre.firstUses, 1u);
@@ -429,11 +432,11 @@ TEST(ProvenanceTest, CapacityEvictionClosesTheVictimRecord)
     tc.insert(provTrace(0x1000, TraceOrigin::FillUnit));
     tc.insert(provTrace(0x2000, TraceOrigin::FillUnit));
     tc.insert(provTrace(0x3000, TraceOrigin::FillUnit));
-    const OriginProvenance &fill = tc.provenance().of(
-        TraceOrigin::FillUnit);
+    const AttribCell fill =
+        tc.attrib().originSum(TraceOrigin::FillUnit);
     EXPECT_EQ(fill.builds, 3u);
     EXPECT_EQ(fill.evictCapacity, 1u);
-    EXPECT_EQ(tc.provenance().resident(), tc.numValid());
+    EXPECT_EQ(tc.attrib().total().resident(), tc.numValid());
 }
 
 TEST(ProvenanceTest, SimulatorRowReconcilesWithProvenance)
@@ -446,10 +449,8 @@ TEST(ProvenanceTest, SimulatorRowReconcilesWithProvenance)
     cfg.maxInsts = 200000;
     const SimResult r = sim.run(cfg);
 
-    const OriginProvenance &fill =
-        r.provenance.of(TraceOrigin::FillUnit);
-    const OriginProvenance &pre =
-        r.provenance.of(TraceOrigin::Precon);
+    const AttribCell fill = r.attrib.originSum(TraceOrigin::FillUnit);
+    const AttribCell pre = r.attrib.originSum(TraceOrigin::Precon);
 
     // Every miss fill and every promotion built exactly one line.
     EXPECT_EQ(fill.builds, r.tcMisses);
@@ -467,7 +468,7 @@ TEST(ProvenanceTest, SimulatorRowReconcilesWithProvenance)
 
 TEST(ProvenanceTest, DiffOracleChecksProvenanceEveryCase)
 {
-    // diffModels embeds provenanceReconciles{Fast,Timing}; a green
+    // diffModels embeds ledgerReconciles{Fast,Timing}; a green
     // diff over a non-trivial case is the end-to-end guarantee the
     // fuzzer relies on.
     Simulator sim;
@@ -484,9 +485,11 @@ TEST(ProvenanceTest, DiffOracleChecksProvenanceEveryCase)
 
 TEST(ProvenanceTest, JsonRenderingCarriesBothOrigins)
 {
-    ProvenanceTable table;
-    table.of(TraceOrigin::FillUnit).builds = 3;
-    table.of(TraceOrigin::Precon).hits = 9;
+    // Each origin's row sums its loop-class cells.
+    AttribTable table;
+    table.of(TraceOrigin::FillUnit, LoopClass::LoopBody).builds = 1;
+    table.of(TraceOrigin::FillUnit, LoopClass::CallChain).builds = 2;
+    table.of(TraceOrigin::Precon, LoopClass::LoopExit).hits = 9;
     const std::string json = renderProvenanceJson(table);
     EXPECT_NE(json.find("\"fill\": {\"builds\": 3"),
               std::string::npos);
@@ -494,6 +497,8 @@ TEST(ProvenanceTest, JsonRenderingCarriesBothOrigins)
     EXPECT_NE(json.find("\"hits\": 9"), std::string::npos);
     EXPECT_NE(json.find("\"first_use_latency_sum\": 0"),
               std::string::npos);
+    // The provenance shape carries no instruction-type histograms.
+    EXPECT_EQ(json.find("inst_built"), std::string::npos);
 }
 
 // ---------------------------------------------------------------

@@ -10,9 +10,7 @@
  *       from its attribution section: the (origin x loop-class)
  *       reuse ledger plus the instruction-type decomposition. With
  *       --benchmark, sum only that benchmark's rows instead of the
- *       whole-report aggregate. Fails with a pointed message when
- *       the report carries no "attrib" section (TPRE_OBS_DISABLED
- *       build or TPRE_ATTRIB=0 run).
+ *       whole-report aggregate.
  *
  *   run --benchmark NAME [--seed N] [--max-insts N] [--tc N]
  *       [--pb N] [--prep]
@@ -335,27 +333,14 @@ tableFromJson(const JsonValue &attrib)
                 fatal("attrib: origin '%s' lacks class '%s'",
                       traceOriginName(origin), loopClassName(cls));
             AttribCell &cell = table.of(origin, cls);
-            cell.builds = cellField(*cellObj, "builds");
-            cell.hits = cellField(*cellObj, "hits");
-            cell.firstUses = cellField(*cellObj, "first_uses");
-            cell.firstUseLatencySum =
-                cellField(*cellObj, "first_use_latency_sum");
-            cell.evictCapacity =
-                cellField(*cellObj, "evict_capacity");
-            cell.evictRefresh = cellField(*cellObj, "evict_refresh");
-            cell.evictInvalidate =
-                cellField(*cellObj, "evict_invalidate");
-            cell.evictClear = cellField(*cellObj, "evict_clear");
-            cell.evictedUnused =
-                cellField(*cellObj, "evicted_unused");
+            for (const CellCounter &f : kCellCounters)
+                cell.*f.field = cellField(*cellObj, f.key);
+            const JsonValue *built = cellObj->find("inst_built");
+            const JsonValue *served = cellObj->find("inst_served");
+            if (built == nullptr || served == nullptr)
+                fatal("attrib: cell lacks inst_built/inst_served");
             for (std::size_t k = 0; k < kNumInstKinds; ++k) {
                 const auto kind = static_cast<InstKind>(k);
-                const JsonValue *built = cellObj->find("inst_built");
-                const JsonValue *served =
-                    cellObj->find("inst_served");
-                if (built == nullptr || served == nullptr)
-                    fatal("attrib: cell lacks inst_built/"
-                          "inst_served");
                 cell.instBuilt[k] =
                     cellField(*built, instKindName(kind));
                 cell.instServed[k] =
@@ -384,10 +369,7 @@ pct(std::uint64_t part, std::uint64_t whole)
 void
 renderTables(const AttribTable &table, const std::string &title)
 {
-    std::uint64_t totalHits = 0;
-    for (std::size_t o = 0; o < kNumOrigins; ++o)
-        totalHits +=
-            table.originSum(static_cast<TraceOrigin>(o)).hits;
+    const std::uint64_t totalHits = table.total().hits;
 
     std::printf("\n=== %s ===\n", title.c_str());
 
@@ -396,43 +378,28 @@ renderTables(const AttribTable &table, const std::string &title)
     TableReport reuse({"origin", "loop_class", "builds", "hits",
                        "hit_share", "first_uses", "avg_1st_lat",
                        "evict", "unused"});
+    const auto addReuseRow = [&](TraceOrigin origin,
+                                 const char *cls,
+                                 const AttribCell &cell) {
+        reuse.addRow(
+            {traceOriginName(origin), cls,
+             TableReport::num(cell.builds),
+             TableReport::num(cell.hits), pct(cell.hits, totalHits),
+             TableReport::num(cell.firstUses),
+             cell.firstUses
+                 ? TableReport::num(cell.meanFirstUseLatency(), 1)
+                 : "-",
+             TableReport::num(cell.evictions()),
+             TableReport::num(cell.evictedUnused)});
+    };
     for (std::size_t o = 0; o < kNumOrigins; ++o) {
         const auto origin = static_cast<TraceOrigin>(o);
         for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
             const auto cls = static_cast<LoopClass>(c);
-            const AttribCell &cell = table.of(origin, cls);
-            reuse.addRow(
-                {traceOriginName(origin), loopClassName(cls),
-                 TableReport::num(cell.builds),
-                 TableReport::num(cell.hits),
-                 pct(cell.hits, totalHits),
-                 TableReport::num(cell.firstUses),
-                 cell.firstUses
-                     ? TableReport::num(
-                           static_cast<double>(
-                               cell.firstUseLatencySum) /
-                               static_cast<double>(cell.firstUses),
-                           1)
-                     : "-",
-                 TableReport::num(cell.evictions()),
-                 TableReport::num(cell.evictedUnused)});
+            addReuseRow(origin, loopClassName(cls),
+                        table.of(origin, cls));
         }
-        const AttribCell sum = table.originSum(origin);
-        reuse.addRow({traceOriginName(origin), "(all)",
-                      TableReport::num(sum.builds),
-                      TableReport::num(sum.hits),
-                      pct(sum.hits, totalHits),
-                      TableReport::num(sum.firstUses),
-                      sum.firstUses
-                          ? TableReport::num(
-                                static_cast<double>(
-                                    sum.firstUseLatencySum) /
-                                    static_cast<double>(
-                                        sum.firstUses),
-                                1)
-                          : "-",
-                      TableReport::num(sum.evictions()),
-                      TableReport::num(sum.evictedUnused)});
+        addReuseRow(origin, "(all)", table.originSum(origin));
     }
     std::printf("%s", reuse.render().c_str());
 
@@ -508,9 +475,7 @@ cmdReport(const std::vector<std::string> &args)
     if (benchmark.empty()) {
         const JsonValue *attrib = report.find("attrib");
         if (attrib == nullptr)
-            fatal("attrib: %s has no \"attrib\" section — the run "
-                  "was made with TPRE_ATTRIB=0 or a "
-                  "TPRE_OBS_DISABLED build",
+            fatal("attrib: %s has no \"attrib\" section",
                   path.c_str());
         const JsonValue *bench = report.find("bench");
         renderTables(tableFromJson(*attrib),
@@ -530,9 +495,7 @@ cmdReport(const std::vector<std::string> &args)
             continue;
         const JsonValue *attrib = row.find("attrib");
         if (attrib == nullptr)
-            fatal("attrib: %s rows carry no \"attrib\" section — "
-                  "the run was made with TPRE_ATTRIB=0 or a "
-                  "TPRE_OBS_DISABLED build",
+            fatal("attrib: %s rows carry no \"attrib\" section",
                   path.c_str());
         sum.add(tableFromJson(*attrib));
         ++matched;
@@ -585,11 +548,6 @@ cmdRun(const std::vector<std::string> &args)
     }
     if (cfg.benchmark.empty())
         return usage();
-
-    if (!attribDefaultEnabled() || !obs::kEnabled)
-        fatal("attrib: attribution is disabled (TPRE_ATTRIB=0 or a "
-              "TPRE_OBS_DISABLED build); `attrib run` has nothing "
-              "to render");
 
     // Validate the name up front for a pointed error instead of a
     // mid-run fatal from the workload cache.
