@@ -222,8 +222,6 @@ class Harness
                 std::chrono::steady_clock::now() - start_)
                 .count();
         const std::string path = report_.write(wall);
-        if (path.empty())
-            return 1;
         const double mips =
             wall > 0.0
                 ? static_cast<double>(simulatedInsts_) / 1e6 / wall

@@ -57,13 +57,13 @@ NextTracePredictor::predict() const
 
     ++stats_.predictions;
     TPRE_OBS_COUNT("ntp.predictions");
-    if (primary.pred.valid() && primary.conf >= config_.confThreshold) {
+    if (primary.valid() && primary.conf >= config_.confThreshold) {
         ++stats_.fromPrimary;
-        return primary.pred;
+        return primary.id();
     }
-    if (secondary.pred.valid()) {
+    if (secondary.valid()) {
         ++stats_.fromSecondary;
-        return secondary.pred;
+        return secondary.id();
     }
     ++stats_.noPrediction;
     return TraceId();
@@ -72,13 +72,15 @@ NextTracePredictor::predict() const
 void
 NextTracePredictor::train(Entry &entry, const TraceId &actual)
 {
-    if (entry.pred == actual) {
+    if (entry.holds(actual)) {
         if (entry.conf < 3)
             ++entry.conf;
     } else if (entry.conf > 0) {
         --entry.conf;
     } else {
-        entry.pred = actual;
+        entry.startPc = actual.startPc;
+        entry.branchFlags = actual.branchFlags;
+        entry.numBranches = actual.numBranches;
         entry.conf = 1;
     }
 }

@@ -93,11 +93,40 @@ class NextTracePredictor
     const Stats &stats() const { return stats_; }
 
   private:
+    /**
+     * One table entry: the predicted trace's identity without
+     * TraceId's cached hash, which predictions do not need (the
+     * frontend compares ids field by field). 16 bytes, so the
+     * tables the predictor initializes at construction and misses
+     * into on every predict() and advance() are half the size.
+     */
     struct Entry
     {
-        TraceId pred;
+        Addr startPc = invalidAddr;
+        std::uint16_t branchFlags = 0;
+        std::uint8_t numBranches = 0;
         std::uint8_t conf = 0;
+
+        bool valid() const { return startPc != invalidAddr; }
+        bool
+        holds(const TraceId &id) const
+        {
+            return startPc == id.startPc &&
+                   branchFlags == id.branchFlags &&
+                   numBranches == id.numBranches;
+        }
+        /** The predicted id; its hash is computed on first use. */
+        TraceId
+        id() const
+        {
+            TraceId out;
+            out.startPc = startPc;
+            out.branchFlags = branchFlags;
+            out.numBranches = numBranches;
+            return out;
+        }
     };
+    static_assert(sizeof(Entry) == 16);
 
     std::size_t primaryIndex() const;
     std::size_t secondaryIndex() const;

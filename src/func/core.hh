@@ -56,14 +56,21 @@ struct ExecResult
 
 /**
  * Execute one decoded instruction against @p state. This is the
- * single source of truth for ISA semantics; FunctionalCore and the
- * trace-equivalence property tests both use it. Defined inline: it
- * runs once per simulated instruction, and keeping it visible to
- * the step() loop lets the compiler keep the architectural state
- * pointer and PC in registers across the dispatch switch.
+ * single source of truth for ISA semantics; FunctionalCore, the
+ * trace-equivalence property tests and constant folding all use
+ * it. Defined inline: it runs once per simulated instruction, and
+ * keeping it visible to the step() loop lets the compiler keep the
+ * architectural state pointer and PC in registers across the
+ * dispatch switch.
+ *
+ * @p state is an ArchState or any type with its reg()/setReg()
+ * interface and a `mem` member with read()/write(); constant
+ * folding evaluates ALU ops on two known operands that way,
+ * without building a register file and memory per fold.
  */
+template <typename State>
 inline ExecResult
-executeInst(const Instruction &inst, Addr pc, ArchState &state)
+executeInst(const Instruction &inst, Addr pc, State &state)
 {
     ExecResult res;
     res.nextPc = Instruction::fallThrough(pc);

@@ -32,12 +32,6 @@
  *    as do arena chunk refills, so the counters always measure
  *    global-allocator traffic and bench/micro_alloc.cc can contrast
  *    the two modes.
- *
- *  - ArenaPool<T>: a typed free-list pool (per-object-class pool in
- *    the MPS sense) for objects that are created and destroyed
- *    within a run, e.g. preconstruction regions. Released slots
- *    carry a magic word so a double release is a fatal error, not
- *    silent corruption.
  */
 
 #ifndef TPRE_MEM_ARENA_HH
@@ -237,109 +231,6 @@ template <typename T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
 template <typename T>
 using ArenaDeque = std::deque<T, ArenaAllocator<T>>;
-
-/**
- * Typed free-list pool over an arena (or the global allocator when
- * the ref is null). Objects are created/destroyed individually;
- * released slots are recycled in LIFO order. A released slot is
- * stamped with a magic word, making a double release a fatal error
- * instead of heap corruption. The pool does not destroy live
- * objects: owners must destroy() everything they created, and a
- * pool must not be used after its arena has been reset.
- */
-template <typename T>
-class ArenaPool
-{
-  public:
-    explicit ArenaPool(ArenaRef arena = {}) : arena_(arena.get()) {}
-
-    ~ArenaPool()
-    {
-        for (void *node : owned_)
-            ::operator delete(node);
-    }
-
-    ArenaPool(const ArenaPool &) = delete;
-    ArenaPool &operator=(const ArenaPool &) = delete;
-
-    template <typename... Args>
-    T *
-    create(Args &&...args)
-    {
-        Node *node = freeHead_;
-        if (node) {
-            freeHead_ = node->next;
-            detail::unpoison(node->storage, sizeof(T));
-        } else {
-            if (arena_) {
-                node = static_cast<Node *>(arena_->allocate(
-                    sizeof(Node), alignof(Node)));
-            } else {
-                detail::countGlobalAlloc(sizeof(Node));
-                node = static_cast<Node *>(
-                    ::operator new(sizeof(Node)));
-                owned_.push_back(node);
-            }
-        }
-        node->magic = kLiveMagic;
-        node->next = nullptr;
-        return ::new (static_cast<void *>(node->storage))
-            T(std::forward<Args>(args)...);
-    }
-
-    void
-    destroy(T *obj)
-    {
-        if (!obj)
-            return;
-        Node *node = reinterpret_cast<Node *>(
-            reinterpret_cast<unsigned char *>(obj) -
-            offsetof(Node, storage));
-        if (node->magic == kFreeMagic)
-            fatal("ArenaPool: double release of %p", obj);
-        if (node->magic != kLiveMagic)
-            fatal("ArenaPool: release of foreign pointer %p", obj);
-        obj->~T();
-        node->magic = kFreeMagic;
-        node->next = freeHead_;
-        freeHead_ = node;
-        detail::poison(node->storage, sizeof(T));
-    }
-
-    /** unique_ptr support: pool.make(...) for scoped ownership. */
-    struct Deleter
-    {
-        ArenaPool *pool = nullptr;
-        void operator()(T *obj) const { pool->destroy(obj); }
-    };
-    using Ptr = std::unique_ptr<T, Deleter>;
-
-    template <typename... Args>
-    Ptr
-    make(Args &&...args)
-    {
-        return Ptr(create(std::forward<Args>(args)...),
-                   Deleter{this});
-    }
-
-  private:
-    static constexpr std::uint64_t kLiveMagic =
-        0x11F0'0BA5'E5A1'1A7EULL;
-    static constexpr std::uint64_t kFreeMagic =
-        0xDEAD'5107'F4EE'D000ULL;
-
-    struct Node
-    {
-        std::uint64_t magic;
-        Node *next;
-        alignas(T) unsigned char storage[sizeof(T)];
-    };
-
-    Arena *arena_ = nullptr;
-    Node *freeHead_ = nullptr;
-    /** Global-mode nodes, returned to the heap at pool teardown. */
-    std::vector<void *> owned_;
-};
 
 } // namespace tpre::mem
 

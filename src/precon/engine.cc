@@ -30,11 +30,18 @@ PreconstructionEngine::PreconstructionEngine(
       traceCache_(traceCache), config_(config),
       buffers_(config.bufferEntries, config.bufferAssoc,
                config.arena),
-      stack_(config.stackDepth, config.completedSlots, config.arena),
-      regionPool_(config.arena)
+      stack_(config.stackDepth, config.completedSlots, config.arena)
 {
     tpre_assert(config_.numConstructors >= 1);
     tpre_assert(config_.numPrefetchCaches >= 1);
+    regionSlots_.reserve(config_.numPrefetchCaches);
+    regions_.reserve(config_.numPrefetchCaches);
+    freeRegions_.reserve(config_.numPrefetchCaches);
+    for (unsigned i = 0; i < config_.numPrefetchCaches; ++i) {
+        Region &slot = regionSlots_.emplace_back(
+            config_.prefetchCacheInsts, config_.policy, config_.arena);
+        freeRegions_.push_back(&slot);
+    }
     constructors_.reserve(config_.numConstructors);
     for (unsigned i = 0; i < config_.numConstructors; ++i)
         constructors_.emplace_back(program_, bimodal_,
@@ -79,7 +86,7 @@ PreconstructionEngine::observeCommit(Addr pc,
     // active region, so further preconstruction there is pointless
     // (any traces already buffered stay useful).
     if (regionSig_ & addrSigBit(pc)) {
-        for (auto &region : regions_) {
+        for (Region *region : regions_) {
             if (region->state() == RegionState::Active &&
                 pc == region->startAddr()) {
                 terminateRegion(*region, RegionEndReason::CaughtUp);
@@ -104,7 +111,7 @@ PreconstructionEngine::observeCommit(Addr pc,
 
     // Skip regions already being preconstructed.
     if (regionSig_ & addrSigBit(candidate)) {
-        for (const auto &region : regions_) {
+        for (const Region *region : regions_) {
             if (region->state() == RegionState::Active &&
                 region->startAddr() == candidate) {
                 return;
@@ -192,7 +199,7 @@ PreconstructionEngine::completeFetches()
     if (pendingFetchCount_ == 0 || now_ < nextFetchReady_)
         return;
     Cycle next = ~static_cast<Cycle>(0);
-    for (auto &region : regions_) {
+    for (Region *region : regions_) {
         auto &pending = region->pendingFetches;
         for (std::size_t i = 0; i < pending.size();) {
             if (now_ < pending[i].readyAt) {
@@ -222,7 +229,7 @@ PreconstructionEngine::issueFetch()
     // outstanding. Newest region first.
     Region *chosen = nullptr;
     Addr chosen_line = invalidAddr;
-    for (auto &region : regions_) {
+    for (Region *region : regions_) {
         if (region->state() != RegionState::Active ||
             region->pendingFetches.size() >=
                 config_.maxOutstandingFetches) {
@@ -232,7 +239,7 @@ PreconstructionEngine::issueFetch()
             continue;
         for (Addr line : region->neededLines) {
             if (!region->hasPending(line)) {
-                chosen = region.get();
+                chosen = region;
                 chosen_line = line;
                 break;
             }
@@ -272,11 +279,11 @@ PreconstructionEngine::assignConstructors()
             chosen = nullptr;
         }
         if (!chosen) {
-            for (auto &region : regions_) {
+            for (Region *region : regions_) {
                 if (region->state() == RegionState::Active &&
                     !region->worklistEmpty() &&
                     (!chosen || region->seq() > chosen->seq())) {
-                    chosen = region.get();
+                    chosen = region;
                 }
             }
             if (!chosen)
@@ -298,7 +305,7 @@ PreconstructionEngine::retireRegions()
     // only when this one saw a removable region.
     bool removable = false;
     bool changed = false;
-    for (auto &region : regions_) {
+    for (Region *region : regions_) {
         if (region->state() == RegionState::Active &&
             region->worklistEmpty() && region->workers == 0 &&
             region->pendingFetches.empty()) {
@@ -323,7 +330,7 @@ PreconstructionEngine::retireRegions()
                             now_ - region->obsStartCycle,
                             region->tracesEmitted);
         for (auto &constructor : constructors_) {
-            if (constructor.region() == region.get())
+            if (constructor.region() == region)
                 constructor.abandon();
         }
         stack_.markCompleted(region->startAddr());
@@ -348,17 +355,20 @@ PreconstructionEngine::retireRegions()
 
     // Free prefetch caches of finished regions (a region slot ==
     // one prefetch cache). Keep regions with a fetch in flight
-    // until it drains.
+    // until it drains. The survivors keep their start order.
     if (removable) {
-        std::erase_if(regions_,
-                      [](const auto &r) {
-                          return r->state() == RegionState::Done &&
-                                 r->reaped &&
-                                 r->pendingFetches.empty();
-                      });
+        std::size_t kept = 0;
         regionSig_ = 0;
-        for (const auto &region : regions_)
+        for (Region *region : regions_) {
+            if (region->state() == RegionState::Done &&
+                region->reaped && region->pendingFetches.empty()) {
+                freeRegions_.push_back(region);
+                continue;
+            }
+            regions_[kept++] = region;
             regionSig_ |= addrSigBit(region->startAddr());
+        }
+        regions_.resize(kept);
     }
     return changed || removable;
 }
@@ -372,11 +382,12 @@ PreconstructionEngine::startRegion()
         const StartPoint sp = stack_.pop();
         if (!program_.contains(sp.addr))
             continue;
-        regions_.push_back(regionPool_.make(
-            nextRegionSeq_++, sp, config_.prefetchCacheInsts,
-            config_.policy, config_.arena));
+        Region *region = freeRegions_.back();
+        freeRegions_.pop_back();
+        region->reset(nextRegionSeq_++, sp);
+        region->obsStartCycle = now_;
+        regions_.push_back(region);
         regionSig_ |= addrSigBit(sp.addr);
-        regions_.back()->obsStartCycle = now_;
         ++stats_.regionsStarted;
         started = true;
         TPRE_OBS_COUNT("precon.regions_started");
@@ -461,7 +472,7 @@ PreconstructionEngine::save(mem::ByteWriter &w) const
     buffers_.save(w);
     stack_.save(w);
     w.put<std::uint32_t>(static_cast<std::uint32_t>(regions_.size()));
-    for (const auto &region : regions_) {
+    for (const Region *region : regions_) {
         w.put(region->seq());
         putRecord(w, StartPoint{region->startAddr(), region->kind()});
         region->save(w);
@@ -474,7 +485,7 @@ PreconstructionEngine::save(mem::ByteWriter &w) const
         // re-resolved against the reconstructed vector on restore.
         std::uint32_t index = ~std::uint32_t{0};
         for (std::size_t i = 0; i < regions_.size(); ++i) {
-            if (regions_[i].get() == constructor.region())
+            if (regions_[i] == constructor.region())
                 index = static_cast<std::uint32_t>(i);
         }
         w.put(index);
@@ -501,16 +512,24 @@ PreconstructionEngine::restore(mem::ByteReader &r)
     }
     buffers_.restore(r);
     stack_.restore(r);
+    freeRegions_.insert(freeRegions_.end(), regions_.begin(),
+                        regions_.end());
     regions_.clear();
     const auto numRegions = r.get<std::uint32_t>();
+    if (numRegions > config_.numPrefetchCaches) {
+        fatal("PreconstructionEngine::restore: %u regions in the "
+              "checkpoint, %u prefetch caches configured",
+              numRegions, config_.numPrefetchCaches);
+    }
     for (std::uint32_t i = 0; i < numRegions; ++i) {
         const auto seq = r.get<std::uint64_t>();
         StartPoint origin;
         getRecord(r, origin);
-        regions_.push_back(regionPool_.make(
-            seq, origin, config_.prefetchCacheInsts, config_.policy,
-            config_.arena));
-        regions_.back()->restore(r);
+        Region *region = freeRegions_.back();
+        freeRegions_.pop_back();
+        region->reset(seq, origin);
+        region->restore(r);
+        regions_.push_back(region);
     }
     const auto numConstructors = r.get<std::uint32_t>();
     if (numConstructors != constructors_.size()) {
@@ -526,7 +545,7 @@ PreconstructionEngine::restore(mem::ByteReader &r)
                 fatal("PreconstructionEngine::restore: region "
                       "index %u out of range", index);
             }
-            region = regions_[index].get();
+            region = regions_[index];
         }
         constructor.restore(r, region);
     }

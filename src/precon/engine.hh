@@ -227,13 +227,19 @@ class PreconstructionEngine : public PreconTraceSink
     std::function<bool(const TraceId &)> primaryProbe_;
     StartPointStack stack_;
     /**
-     * Per-object-class pool the regions are carved from: region
-     * start/retire churn stays off the global allocator when the
-     * run owns an arena. Declared before regions_ so the pool
-     * outlives the owning pointers.
+     * One region slot per prefetch cache, owned for the engine's
+     * lifetime: startRegion() resets a free slot in place, so a
+     * region start allocates nothing once the slots' containers
+     * have grown to their working sizes.
      */
-    mem::ArenaPool<Region> regionPool_;
-    std::vector<mem::ArenaPool<Region>::Ptr> regions_;
+    std::vector<Region> regionSlots_;
+    /**
+     * The active regions in start order, which every newest-first
+     * rule, tie rule and checkpoint region index relies on.
+     */
+    std::vector<Region *> regions_;
+    /** Slots not in regions_. */
+    std::vector<Region *> freeRegions_;
     std::vector<PreconConstructor> constructors_;
     std::uint64_t nextRegionSeq_ = 1;
     /**

@@ -7,16 +7,36 @@
 namespace tpre
 {
 
-Region::Region(std::uint64_t seq, StartPoint origin,
-               unsigned prefetchCapacity, const PreconPolicy &policy,
+Region::Region(unsigned prefetchCapacity, const PreconPolicy &policy,
                mem::ArenaRef arena)
     : pendingFetches(mem::ArenaAllocator<PendingFetch>(arena)),
       neededLines(mem::ArenaAllocator<Addr>(arena)),
-      seq_(seq), origin_(origin), policy_(policy),
-      prefetch_(prefetchCapacity, arena),
+      policy_(policy), prefetch_(prefetchCapacity, arena),
       worklist_(mem::ArenaAllocator<Addr>(arena)),
       seenStarts_(arena)
 {
+}
+
+void
+Region::reset(std::uint64_t seq, StartPoint origin)
+{
+    seq_ = seq;
+    origin_ = origin;
+    prefetch_.clear();
+    worklist_.clear();
+    seenStarts_.clear();
+    state_ = RegionState::Active;
+    endReason_ = RegionEndReason::Completed;
+    workers = 0;
+    pendingFetches.clear();
+    neededLines.clear();
+    tracesConstructed = 0;
+    reaped = false;
+    bufferRefusals = 0;
+    leadingWarmTraces = 0;
+    tracesEmitted = 0;
+    obsStartCycle = 0;
+
     addStartPoint(origin.addr);
     if (origin.kind == StartPointKind::LoopExit) {
         // Seed the alignment grid past a loop exit so that one of

@@ -26,13 +26,19 @@ namespace tpre
  * was measurable on the preconstruction hot path. Linear probing
  * over a power-of-two table at <= 50% load; invalidAddr marks an
  * empty slot and is not storable (Region never offers it).
+ *
+ * clear() returns to the initial table size but keeps the storage,
+ * and growth rehashes into a second table kept for the next
+ * growth, so a set reused region after region stops allocating
+ * once it has reached its largest size.
  */
 class AddrSet
 {
   public:
     AddrSet() = default;
     explicit AddrSet(mem::ArenaRef arena)
-        : slots_(mem::ArenaAllocator<Addr>(arena))
+        : slots_(mem::ArenaAllocator<Addr>(arena)),
+          spare_(mem::ArenaAllocator<Addr>(arena))
     {}
 
     bool
@@ -54,7 +60,7 @@ class AddrSet
     insert(Addr addr)
     {
         if (slots_.empty())
-            slots_.assign(32, invalidAddr);
+            slots_.assign(kInitialSlots, invalidAddr);
         else if ((count_ + 1) * 2 > slots_.size())
             grow();
         const std::size_t mask = slots_.size() - 1;
@@ -68,6 +74,19 @@ class AddrSet
                 return;
             }
         }
+    }
+
+    /**
+     * Empty the set. A cleared set costs what a new one does: its
+     * table goes back to the initial size (not refilled at a grown
+     * size), and its storage stays allocated.
+     */
+    void
+    clear()
+    {
+        if (!slots_.empty())
+            slots_.assign(kInitialSlots, invalidAddr);
+        count_ = 0;
     }
 
     /** Checkpoint/restore the slot table wholesale. */
@@ -88,6 +107,8 @@ class AddrSet
     }
 
   private:
+    static constexpr std::size_t kInitialSlots = 32;
+
     static std::size_t
     probe(Addr addr)
     {
@@ -99,18 +120,21 @@ class AddrSet
     void
     grow()
     {
-        // Move keeps the allocator, so the rebuilt table stays on
-        // the owning arena (or the global heap) across growth.
-        mem::ArenaVector<Addr> old = std::move(slots_);
-        slots_.assign(old.size() * 2, invalidAddr);
+        // Rehash into the spare table; the old one becomes the
+        // spare. Both keep their storage, so growing to a size
+        // reached before allocates nothing.
+        spare_.assign(slots_.size() * 2, invalidAddr);
+        slots_.swap(spare_);
         count_ = 0;
-        for (Addr a : old) {
+        for (Addr a : spare_) {
             if (a != invalidAddr)
                 insert(a);
         }
     }
 
     mem::ArenaVector<Addr> slots_;
+    /** The previous table's storage, reused by the next grow(). */
+    mem::ArenaVector<Addr> spare_;
     std::size_t count_ = 0;
 };
 
@@ -154,19 +178,34 @@ enum class RegionEndReason : std::uint8_t
     Warm,          ///< leading traces all already in the trace cache
 };
 
-/** One active preconstruction region. */
+/**
+ * One preconstruction region slot. The engine owns one per
+ * prefetch cache for its lifetime and starts each new region in a
+ * free slot with reset(), so region start-up reuses the slot's
+ * storage instead of allocating a fresh region.
+ */
 class Region
 {
   public:
     /**
+     * An idle slot (Done, no start points) until reset().
+     * @param prefetchCapacity Prefetch cache capacity in insts.
+     */
+    Region(unsigned prefetchCapacity, const PreconPolicy &policy,
+           mem::ArenaRef arena = {});
+
+    /**
+     * Start a new region in this slot: every field returns to its
+     * initial value and the worklist is seeded from @p origin. The
+     * containers keep their storage, and the dedup set returns to
+     * its initial size, so a reset costs no more than building a
+     * new region did.
+     *
      * @param seq Monotonically increasing region id; also the
      *        replacement priority in the preconstruction buffers.
      * @param origin The start point that spawned the region.
-     * @param prefetchCapacity Prefetch cache capacity in insts.
      */
-    Region(std::uint64_t seq, StartPoint origin,
-           unsigned prefetchCapacity, const PreconPolicy &policy,
-           mem::ArenaRef arena = {});
+    void reset(std::uint64_t seq, StartPoint origin);
 
     std::uint64_t seq() const { return seq_; }
     Addr startAddr() const { return origin_.addr; }
@@ -226,21 +265,21 @@ class Region
 
     /**
      * Checkpoint/restore all mutable state. Identity (seq, origin)
-     * and policy are not serialized here: the engine reconstructs
-     * the region from them and then overwrites the ctor-seeded
-     * worklist with the saved one.
+     * and policy are not serialized here: the engine resets a slot
+     * from them and then overwrites the reset-seeded worklist with
+     * the saved one.
      */
     void save(mem::ByteWriter &w) const;
     void restore(mem::ByteReader &r);
 
   private:
-    std::uint64_t seq_;
+    std::uint64_t seq_ = 0;
     StartPoint origin_;
     PreconPolicy policy_;
     PrefetchCache prefetch_;
     mem::ArenaVector<Addr> worklist_;
     AddrSet seenStarts_;
-    RegionState state_ = RegionState::Active;
+    RegionState state_ = RegionState::Done;
     RegionEndReason endReason_ = RegionEndReason::Completed;
 };
 

@@ -11,12 +11,61 @@ namespace tpre
 namespace
 {
 
+/**
+ * The executor's view of the two known source operands: a
+ * register file holding only rs1 and rs2 (every other register
+ * reads zero), capturing the value written to rd. Folding covers
+ * ALU ops only, so memory is unreachable.
+ */
+struct FoldState
+{
+    FoldState(const Instruction &inst, RegValue a, RegValue b)
+        : rs1(inst.rs1), rs2(inst.rs2), a(a), b(b)
+    {}
+
+    RegIndex rs1;
+    RegIndex rs2;
+    RegValue a;
+    RegValue b;
+    RegValue result = 0;
+
+    RegValue
+    reg(RegIndex index) const
+    {
+        if (index == zeroReg)
+            return 0;
+        return index == rs1 ? a : index == rs2 ? b : 0;
+    }
+
+    void
+    setReg(RegIndex index, RegValue value)
+    {
+        if (index != zeroReg)
+            result = value;
+    }
+
+    struct NoMemory
+    {
+        RegValue
+        read(Addr) const
+        {
+            panic("constant folding reached a load");
+        }
+
+        void
+        write(Addr, RegValue)
+        {
+            panic("constant folding reached a store");
+        }
+    } mem;
+};
+
 /** Evaluate a pure ALU op whose inputs are known constants. */
 std::optional<RegValue>
 evalConst(const Instruction &inst, RegValue a, RegValue b)
 {
-    // Reuse the canonical executor on a scratch state so constant
-    // folding can never disagree with the ISA semantics.
+    // Fold with the canonical executor so constant folding can
+    // never disagree with the ISA semantics.
     switch (inst.op) {
       case Opcode::Add: case Opcode::Sub: case Opcode::And:
       case Opcode::Or: case Opcode::Xor: case Opcode::Sll:
@@ -25,12 +74,9 @@ evalConst(const Instruction &inst, RegValue a, RegValue b)
       case Opcode::Addi: case Opcode::Andi: case Opcode::Ori:
       case Opcode::Xori: case Opcode::Slli: case Opcode::Srli:
       case Opcode::Slti: case Opcode::Lui: case Opcode::Fused: {
-        ArchState state;
-        state.setReg(inst.rs1, a);
-        if (inst.rs2 != inst.rs1)
-            state.setReg(inst.rs2, b);
+        FoldState state(inst, a, b);
         executeInst(inst, 0, state);
-        return state.reg(inst.rd);
+        return state.result;
       }
       default:
         return std::nullopt;

@@ -1,5 +1,7 @@
 #include "prep/dataflow.hh"
 
+#include <array>
+
 #include "common/logging.hh"
 
 namespace tpre
@@ -38,24 +40,15 @@ TraceDataflow::TraceDataflow(const Trace &trace)
     numSegments_ = segment + 1;
 
     // Dead-within-trace: the destination is rewritten later with no
-    // intervening read.
-    for (std::size_t i = 0; i < n; ++i) {
+    // intervening read. One backward scan keeps the registers whose
+    // next access is a write; a read at the same instruction as a
+    // write counts first, as the read happens before the write.
+    RegMask written_next = 0;
+    for (std::size_t i = n; i-- > 0;) {
         const Instruction &inst = trace.insts[i].inst;
-        if (!inst.writesReg())
-            continue;
-        bool redefined = false;
-        bool read = false;
-        for (std::size_t j = i + 1; j < n && !redefined && !read;
-             ++j) {
-            const Instruction &other = trace.insts[j].inst;
-            if ((other.numSources() >= 1 && other.rs1 == inst.rd) ||
-                (other.readsRs2() && other.rs2 == inst.rd)) {
-                read = true;
-            } else if (other.writesReg() && other.rd == inst.rd) {
-                redefined = true;
-            }
-        }
-        info_[i].deadWithinTrace = redefined && !read;
+        const RegMask def = defMask(inst);
+        info_[i].deadWithinTrace = (def & written_next) != 0;
+        written_next = (written_next | def) & ~useMask(inst);
     }
 }
 

@@ -1,20 +1,44 @@
 /**
  * @file
  * Intra-trace dataflow analysis used by the preprocessing passes:
- * per-instruction register def/use information, producer links and
+ * per-instruction register def/use masks, producer links and
  * basic-block segmentation (control instructions end segments).
+ * Everything lives in fixed-capacity storage sized by the 16-
+ * instruction trace bound, so an analysis allocates nothing.
  */
 
 #ifndef TPRE_PREP_DATAFLOW_HH
 #define TPRE_PREP_DATAFLOW_HH
 
-#include <array>
-#include <vector>
+#include <cstdint>
 
 #include "trace/trace.hh"
 
 namespace tpre
 {
+
+/** A set of architectural registers: bit r stands for register r. */
+using RegMask = std::uint32_t;
+static_assert(numArchRegs <= 32, "RegMask holds one bit per register");
+
+/** Registers @p inst reads (the same operands the executor reads). */
+inline RegMask
+useMask(const Instruction &inst)
+{
+    RegMask mask = 0;
+    if (inst.numSources() >= 1)
+        mask |= RegMask(1) << inst.rs1;
+    if (inst.readsRs2())
+        mask |= RegMask(1) << inst.rs2;
+    return mask;
+}
+
+/** The register @p inst writes, as a mask (empty for none/r0). */
+inline RegMask
+defMask(const Instruction &inst)
+{
+    return inst.writesReg() ? RegMask(1) << inst.rd : 0;
+}
 
 /** Dataflow facts for one trace instruction. */
 struct InstDataflow
@@ -53,7 +77,7 @@ class TraceDataflow
                              const Trace &trace) const;
 
   private:
-    std::vector<InstDataflow> info_;
+    InlineVec<InstDataflow, kMaxTraceLen> info_;
     unsigned numSegments_ = 1;
 };
 

@@ -27,7 +27,9 @@ fuseShiftAdds(Trace &trace)
 {
     const TraceDataflow df(trace);
     unsigned fused = 0;
-    std::vector<bool> eliminate(trace.insts.size(), false);
+    // Producers to drop: bit i stands for instruction i.
+    static_assert(kMaxTraceLen <= 32);
+    std::uint32_t eliminate = 0;
 
     for (std::size_t i = 0; i < trace.insts.size(); ++i) {
         Instruction &consumer = trace.insts[i].inst;
@@ -123,7 +125,7 @@ fuseShiftAdds(Trace &trace)
             // producer is dead and dropped entirely — the trace
             // need only be functionally equivalent (Section 6).
             if (can_eliminate)
-                eliminate[pidx] = true;
+                eliminate |= std::uint32_t(1) << pidx;
 
             consumer = fusedInst;
             ++fused;
@@ -135,7 +137,7 @@ fuseShiftAdds(Trace &trace)
     // surviving instruction linked to its dynamic record).
     std::size_t out = 0;
     for (std::size_t i = 0; i < trace.insts.size(); ++i) {
-        if (!eliminate[i])
+        if (!((eliminate >> i) & 1))
             trace.insts[out++] = trace.insts[i];
     }
     trace.insts.resize(out);

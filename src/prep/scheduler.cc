@@ -1,6 +1,8 @@
 #include "prep/scheduler.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "common/logging.hh"
 #include "prep/dataflow.hh"
@@ -23,32 +25,23 @@ schedLatency(const Instruction &inst)
     }
 }
 
-/** Does instruction @p a depend on @p b (b must stay before a)? */
-bool
-dependsOn(const Instruction &a, const Instruction &b)
+/** A set of segment-body instructions: bit i = the i-th one. */
+using BodyMask = std::uint32_t;
+static_assert(kMaxTraceLen <= 32, "BodyMask holds one bit per inst");
+
+constexpr BodyMask
+bit(unsigned i)
 {
-    // RAW: a reads b's destination.
-    if (b.writesReg()) {
-        if (a.numSources() >= 1 && a.rs1 == b.rd)
-            return true;
-        if (a.readsRs2() && a.rs2 == b.rd)
-            return true;
-    }
-    if (a.writesReg()) {
-        // WAW.
-        if (b.writesReg() && a.rd == b.rd)
-            return true;
-        // WAR: a overwrites a register b reads.
-        if (b.numSources() >= 1 && b.rs1 == a.rd)
-            return true;
-        if (b.readsRs2() && b.rs2 == a.rd)
-            return true;
-    }
-    // Memory operations stay mutually ordered (no static alias
-    // information inside a trace).
-    if ((a.isLoad() || a.isStore()) && (b.isLoad() || b.isStore()))
-        return true;
-    return false;
+    return BodyMask(1) << i;
+}
+
+/** Call @p fn with the index of every set bit of @p mask, low first. */
+template <typename Mask, typename Fn>
+void
+forEachBit(Mask mask, Fn fn)
+{
+    for (; mask != 0; mask &= mask - 1)
+        fn(static_cast<unsigned>(std::countr_zero(mask)));
 }
 
 } // namespace
@@ -60,24 +53,20 @@ scheduleTrace(Trace &trace)
     if (n < 3)
         return 0;
 
-    const TraceDataflow df(trace);
     TraceBody result;
 
     unsigned moved = 0;
     std::size_t seg_start = 0;
     while (seg_start < n) {
-        // Find the segment [seg_start, seg_end): control
-        // instructions terminate segments and stay put.
-        std::size_t seg_end = seg_start;
-        while (seg_end < n &&
-               df.at(seg_end).segment == df.at(seg_start).segment) {
-            ++seg_end;
-        }
-        const bool ends_in_control =
-            trace.insts[seg_end - 1].inst.isControl();
-        const std::size_t body_end =
-            ends_in_control ? seg_end - 1 : seg_end;
-        const std::size_t body_len = body_end - seg_start;
+        // Find the segment [seg_start, seg_end): the first control
+        // instruction ends it and stays put.
+        std::size_t body_end = seg_start;
+        while (body_end < n && !trace.insts[body_end].inst.isControl())
+            ++body_end;
+        const bool ends_in_control = body_end < n;
+        const std::size_t seg_end = body_end + ends_in_control;
+        const auto body_len =
+            static_cast<unsigned>(body_end - seg_start);
 
         if (body_len < 2) {
             for (std::size_t i = seg_start; i < seg_end; ++i)
@@ -86,61 +75,78 @@ scheduleTrace(Trace &trace)
             continue;
         }
 
-        // Local dependence graph over the segment body. The
-        // control instruction also constrains the body (its
-        // sources must not be overwritten), handled by keeping it
-        // last and adding WAR edges below.
-        std::vector<std::vector<std::size_t>> succs(body_len);
-        std::vector<unsigned> pending(body_len, 0);
-        for (std::size_t i = 0; i < body_len; ++i) {
-            for (std::size_t j = i + 1; j < body_len; ++j) {
-                if (dependsOn(trace.insts[seg_start + j].inst,
-                              trace.insts[seg_start + i].inst)) {
-                    succs[i].push_back(j);
-                    ++pending[j];
-                }
+        // Local dependence graph over the segment body, from
+        // per-instruction register def/use masks plus a memory
+        // mask: j depends on an earlier i through RAW (j reads a
+        // register i writes), WAW, WAR (j writes a register i
+        // reads), or when both access memory (no static alias
+        // information inside a trace). The control instruction
+        // stays last, after every body instruction exactly as in
+        // program order, so it still reads its sources correctly.
+        std::array<BodyMask, numArchRegs> writers{};
+        std::array<BodyMask, numArchRegs> readers{};
+        BodyMask mem_ops = 0;
+        std::array<BodyMask, kMaxTraceLen> preds;
+        std::array<BodyMask, kMaxTraceLen> succs{};
+        for (unsigned j = 0; j < body_len; ++j) {
+            const Instruction &inst = trace.insts[seg_start + j].inst;
+            const RegMask use = useMask(inst);
+            const RegMask def = defMask(inst);
+            BodyMask p = 0;
+            forEachBit(use, [&](unsigned r) { p |= writers[r]; });
+            forEachBit(def, [&](unsigned r) {
+                p |= writers[r] | readers[r];
+            });
+            if (inst.isLoad() || inst.isStore()) {
+                p |= mem_ops;
+                mem_ops |= bit(j);
             }
-        }
-        // The segment-ending control instruction must still read
-        // its sources correctly: forbid body instructions that
-        // write those sources from... they can reorder among
-        // themselves freely; only their order against the control
-        // op matters, and the control op stays last, after every
-        // writer, exactly as in program order. WAW among writers
-        // is already an edge, so the final value is preserved.
-
-        // Dependence heights (critical-path lengths).
-        std::vector<unsigned> height(body_len, 0);
-        for (std::size_t i = body_len; i-- > 0;) {
-            unsigned best = 0;
-            for (std::size_t j : succs[i])
-                best = std::max(best, height[j]);
-            height[i] = best + schedLatency(
-                trace.insts[seg_start + i].inst);
+            preds[j] = p;
+            forEachBit(p, [&](unsigned i) { succs[i] |= bit(j); });
+            forEachBit(use, [&](unsigned r) { readers[r] |= bit(j); });
+            forEachBit(def, [&](unsigned r) { writers[r] |= bit(j); });
         }
 
-        // Greedy list scheduling: repeatedly take the ready
-        // instruction with the greatest height (ties: original
-        // order, keeping the schedule stable).
-        std::vector<bool> done(body_len, false);
-        for (std::size_t picked = 0; picked < body_len; ++picked) {
-            std::size_t best = body_len;
-            for (std::size_t i = 0; i < body_len; ++i) {
-                if (done[i] || pending[i] > 0)
-                    continue;
-                if (best == body_len || height[i] > height[best])
+        // Dependence heights (critical-path lengths): every
+        // successor of i comes after it, so a backward pass sees
+        // each height final before pushing it to the predecessors.
+        std::array<unsigned, kMaxTraceLen> below{};
+        std::array<unsigned, kMaxTraceLen> height;
+        for (unsigned j = body_len; j-- > 0;) {
+            height[j] = below[j] + schedLatency(
+                trace.insts[seg_start + j].inst);
+            forEachBit(preds[j], [&](unsigned i) {
+                below[i] = std::max(below[i], height[j]);
+            });
+        }
+
+        // Greedy list scheduling over the ready mask: repeatedly
+        // take the ready instruction with the greatest height
+        // (ties: original order, keeping the schedule stable).
+        BodyMask ready = 0;
+        for (unsigned i = 0; i < body_len; ++i)
+            ready |= preds[i] == 0 ? bit(i) : 0;
+        BodyMask done = 0;
+        for (unsigned picked = 0; picked < body_len; ++picked) {
+            tpre_assert(ready != 0, "scheduling deadlock");
+            unsigned best = static_cast<unsigned>(
+                std::countr_zero(ready));
+            forEachBit(ready & (ready - 1), [&](unsigned i) {
+                if (height[i] > height[best])
                     best = i;
-            }
-            tpre_assert(best < body_len, "scheduling deadlock");
-            done[best] = true;
-            for (std::size_t j : succs[best])
-                --pending[j];
+            });
+            done |= bit(best);
+            ready &= ~bit(best);
+            forEachBit(succs[best], [&](unsigned j) {
+                if ((preds[j] & ~done) == 0)
+                    ready |= bit(j);
+            });
             if (best != picked)
                 ++moved;
             result.push_back(trace.insts[seg_start + best]);
         }
         if (ends_in_control)
-            result.push_back(trace.insts[seg_end - 1]);
+            result.push_back(trace.insts[body_end]);
         seg_start = seg_end;
     }
 

@@ -1,8 +1,10 @@
 #include "sim/json_report.hh"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <utility>
 
@@ -292,8 +294,8 @@ BenchReport::write(double wallSeconds) const
     const std::string path = dir + "/BENCH_" + bench_ + ".json";
     std::ofstream out(path);
     if (!out) {
-        warn("cannot write bench report to %s", path.c_str());
-        return "";
+        fatal("cannot write bench report to %s: %s", path.c_str(),
+              std::strerror(errno));
     }
     out << render(wallSeconds);
     return path;

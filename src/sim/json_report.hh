@@ -117,8 +117,9 @@ class BenchReport
 
     /**
      * Write BENCH_<bench>.json into TPRE_BENCH_DIR (default: the
-     * current directory). Returns the path written, or an empty
-     * string (with a warn()) when the file cannot be created.
+     * current directory) and return the path written. A file that
+     * cannot be created is fatal(), naming the path and the error:
+     * a bench whose report is lost has failed.
      */
     std::string write(double wallSeconds) const;
 

@@ -29,7 +29,7 @@ TimingBackend::refreshReady(InflightInst &inst, Cycle notBefore)
 
 std::uint64_t
 TimingBackend::dispatch(const Trace &trace,
-                        const std::vector<DynInst> &dyn, Cycle now)
+                        std::span<const DynInst> dyn, Cycle now)
 {
     tpre_assert(hasFreePe(), "dispatch() with no free PE");
 
@@ -45,6 +45,7 @@ TimingBackend::dispatch(const Trace &trace,
 
     slot.pe = pe;
     slot.len = static_cast<unsigned>(trace.insts.size());
+    slot.numDyn = static_cast<unsigned>(dyn.size());
     slot.remaining = slot.len;
     slot.cursor = 0;
     slot.notBefore = now + 1;
@@ -229,14 +230,17 @@ TimingBackend::headHandle() const
     return headHandle_;
 }
 
-void
+unsigned
 TimingBackend::retireHead()
 {
     tpre_assert(!empty());
-    peBusy_[slotOf(headHandle_).pe] = false;
+    const Slot &slot = slotOf(headHandle_);
+    peBusy_[slot.pe] = false;
+    const unsigned committed = slot.numDyn;
     ++headHandle_;
     if (headHandle_ - oldestHandle_ > kRetainedTraces)
         ageOut();
+    return committed;
 }
 
 void

@@ -19,6 +19,7 @@
 #define TPRE_TPROC_BACKEND_HH
 
 #include <array>
+#include <span>
 #include <vector>
 
 #include "cache/set_assoc.hh"
@@ -91,13 +92,13 @@ class TimingBackend
     /**
      * Dispatch a trace into a free PE at cycle @p now. @p dyn are
      * the matching dynamic records in *original* program order
-     * (TraceInst::srcPos indexes into them).
+     * (TraceInst::srcPos indexes into them); they are read during
+     * the call only, so the caller may reuse their storage.
      *
      * @return a handle identifying the in-flight trace.
      */
     std::uint64_t dispatch(const Trace &trace,
-                           const std::vector<DynInst> &dyn,
-                           Cycle now);
+                           std::span<const DynInst> dyn, Cycle now);
 
     /** Advance execution by one cycle. */
     void tick(Cycle now);
@@ -109,8 +110,13 @@ class TimingBackend
     Cycle headCompletionTime() const;
     /** Handle of the oldest in-flight trace (must exist). */
     std::uint64_t headHandle() const;
-    /** Retire the oldest trace, freeing its PE. */
-    void retireHead();
+    /**
+     * Retire the oldest trace, freeing its PE.
+     * @return the dynamic instructions it commits (its dispatched
+     *         records; preprocessing may have dropped some of the
+     *         trace's own instructions).
+     */
+    unsigned retireHead();
 
     bool empty() const { return headHandle_ == nextHandle_; }
 
@@ -173,6 +179,8 @@ class TimingBackend
     {
         unsigned pe = 0;
         unsigned len = 0;
+        /** Dynamic records dispatched with the trace. */
+        unsigned numDyn = 0;
         /** Unissued instructions. */
         unsigned remaining = 0;
         /** First unissued instruction. */

@@ -39,29 +39,46 @@ TraceProcessor::prepared(Trace trace)
 }
 
 void
+TraceProcessor::fillTraceCache(const Trace &trace)
+{
+    tpre_assert(dispatchTrace_ == nullptr ||
+                    dispatchTrace_ == &pending(0).trace,
+                "trace-cache insert with a cached image awaiting "
+                "dispatch");
+    traceCache_.insert(trace);
+}
+
+void
 TraceProcessor::advanceOracle()
 {
-    while (oracle_.size() < 4 && !oracleDone_) {
+    // The records of the trace being segmented go straight into
+    // the free slot behind the pending ones; a completed trace
+    // claims that slot. The slot's window is empty whenever the
+    // ring is full, because the ring only fills on a completion.
+    while (oracleCount_ < kLookahead && !oracleDone_) {
+        PendingTrace &tail = pending(oracleCount_);
         if (core_.halted()) {
-            if (auto t = segmenter_.flush()) {
+            if (const Trace *t = segmenter_.flush()) {
                 tpre_check_run(check::enforce(
                     check::traceWellFormed(*t, config_.selection,
                                            true),
                     "TraceProcessor flushed trace"));
-                oracle_.push_back({std::move(*t), window_});
+                tail.trace = *t;
+                ++oracleCount_;
+            } else {
+                tail.window.clear();
             }
-            window_.clear();
             oracleDone_ = true;
             break;
         }
         const DynInst &dyn = core_.step();
-        window_.push_back(dyn);
-        if (auto t = segmenter_.feed(dyn)) {
+        tail.window.push_back(dyn);
+        if (const Trace *t = segmenter_.feed(dyn)) {
             tpre_check_run(check::enforce(
                 check::traceWellFormed(*t, config_.selection, false),
                 "TraceProcessor segmented trace"));
-            oracle_.push_back({std::move(*t), std::move(window_)});
-            window_.clear();
+            tail.trace = *t;
+            ++oracleCount_;
         }
     }
 }
@@ -73,10 +90,7 @@ TraceProcessor::commitCompleted()
         const Cycle done = backend_.headCompletionTime();
         if (done == TimingBackend::noCompletion || done > now_)
             break;
-        tpre_assert(!dispatchedLens_.empty());
-        stats_.instructions += dispatchedLens_.front();
-        dispatchedLens_.pop_front();
-        backend_.retireHead();
+        stats_.instructions += backend_.retireHead();
     }
 }
 
@@ -134,8 +148,8 @@ TraceProcessor::slowFetch(const PendingTrace &pending)
 void
 TraceProcessor::doLookup()
 {
-    tpre_assert(!oracle_.empty());
-    const PendingTrace &front = oracle_.front();
+    tpre_assert(oracleCount_ > 0);
+    const PendingTrace &front = pending(0);
     const TraceId &id = front.trace.id;
 
     traceCache_.advanceTo(now_);
@@ -143,7 +157,7 @@ TraceProcessor::doLookup()
     bool pb = false;
     if (!stored && engine_) {
         if (const Trace *buffered = engine_->lookupBuffer(id)) {
-            traceCache_.insert(prepared(*buffered));
+            fillTraceCache(prepared(*buffered));
             engine_->consumeHit(id);
             stored = traceCache_.lookup(id);
             pb = true;
@@ -165,7 +179,7 @@ TraceProcessor::doLookup()
         predValidForFront_ || afterResolve_;
 
     if (stored && knows_target) {
-        dispatchTrace_ = *stored;
+        dispatchTrace_ = stored;
         fetchReadyAt_ = now_ + 1;
         fetchWasSlow_ = false;
     } else {
@@ -175,13 +189,13 @@ TraceProcessor::doLookup()
         fetchReadyAt_ = now_ + cost;
         slowBusyUntil_ = std::max(slowBusyUntil_, fetchReadyAt_);
         fetchWasSlow_ = true;
-        dispatchTrace_ = front.trace;
+        dispatchTrace_ = &front.trace;
         if (!stored) {
             Trace filled = prepared(front.trace);
             // The fill unit finishes assembling the line when the
             // slow fetch completes.
             filled.buildCycle = fetchReadyAt_;
-            traceCache_.insert(std::move(filled));
+            fillTraceCache(filled);
         }
     }
     afterResolve_ = false;
@@ -191,23 +205,27 @@ TraceProcessor::doLookup()
 void
 TraceProcessor::dispatchFront()
 {
-    tpre_assert(!oracle_.empty());
-    PendingTrace front = std::move(oracle_.front());
-    oracle_.pop_front();
+    tpre_assert(oracleCount_ > 0 && dispatchTrace_ != nullptr);
+    // The front slot stays intact until advanceOracle() refills
+    // it, which happens only after this dispatch completes.
+    PendingTrace &front = pending(0);
+    const Trace &image = *dispatchTrace_;
+    dispatchTrace_ = nullptr;
+    oracleHead_ = (oracleHead_ + 1) % kLookahead;
+    --oracleCount_;
 
+    tpre_assert(front.window.size() == front.trace.len());
     const std::uint64_t handle =
-        backend_.dispatch(dispatchTrace_, front.window, now_);
-    dispatchedLens_.push_back(front.trace.len());
+        backend_.dispatch(image, front.window, now_);
     ++stats_.traces;
 
     // The dispatched image must carry the instructions the oracle
     // demands (preprocessed images are compared by identity only).
     tpre_check_run(check::enforce(
-        check::tracesMatch(front.trace, dispatchTrace_),
+        check::tracesMatch(front.trace, image),
         "TraceProcessor dispatch"));
     if (config_.hooks.onTrace)
-        config_.hooks.onTrace(front.trace, dispatchTrace_,
-                              !fetchWasSlow_);
+        config_.hooks.onTrace(front.trace, image, !fetchWasSlow_);
 
     bool contains_call = false;
     for (const TraceInst &ti : front.trace.insts)
@@ -232,9 +250,9 @@ TraceProcessor::dispatchFront()
     if (armResolveAfterDispatch_) {
         fetchState_ = FetchState::WaitResolve;
         resolveHandle_ = handle;
-        unsigned idx = dispatchTrace_.len() - 1;
-        for (unsigned i = 0; i < dispatchTrace_.len(); ++i) {
-            if (dispatchTrace_.insts[i].srcPos == armResolveIdx_) {
+        unsigned idx = image.len() - 1;
+        for (unsigned i = 0; i < image.len(); ++i) {
+            if (image.insts[i].srcPos == armResolveIdx_) {
                 idx = i;
                 break;
             }
@@ -250,9 +268,13 @@ TraceProcessor::dispatchFront()
     ntp_.advance(front.trace.id, contains_call, ends_in_return);
     predValidForFront_ = false;
 
-    if (oracle_.empty())
+    // The dispatched records are consumed: the slot can collect
+    // the next segmentation.
+    front.window.clear();
+    if (oracleCount_ == 0)
         return;
-    const TraceId &next_id = oracle_.front().trace.id;
+    const Trace &next = pending(0).trace;
+    const TraceId &next_id = next.id;
     const TraceId pred = ntp_.predict();
 
     if (!pred.valid()) {
@@ -276,9 +298,9 @@ TraceProcessor::dispatchFront()
                 ++branch_index;
             }
             // Map branch ordinal to instruction position.
-            unsigned idx = oracle_.front().trace.len() - 1;
+            unsigned idx = next.len() - 1;
             unsigned seen = 0;
-            const auto &insts = oracle_.front().trace.insts;
+            const auto &insts = next.insts;
             for (unsigned i = 0; i < insts.size(); ++i) {
                 if (insts[i].inst.isCondBranch()) {
                     if (seen == branch_index) {
@@ -298,7 +320,7 @@ TraceProcessor::dispatchFront()
             // trace's last instruction resolves.
             fetchState_ = FetchState::WaitResolve;
             resolveHandle_ = handle;
-            resolveIdx_ = dispatchTrace_.len() - 1;
+            resolveIdx_ = image.len() - 1;
         }
     }
 }
@@ -306,7 +328,7 @@ TraceProcessor::dispatchFront()
 void
 TraceProcessor::fetchAndDispatch()
 {
-    if (oracle_.empty())
+    if (oracleCount_ == 0)
         return;
 
     if (fetchState_ == FetchState::WaitResolve) {
@@ -328,7 +350,7 @@ TraceProcessor::fetchAndDispatch()
         dispatchFront();
         // Chain the next lookup in the dispatch cycle so hits
         // sustain one trace per cycle.
-        if (fetchState_ == FetchState::Lookup && !oracle_.empty())
+        if (fetchState_ == FetchState::Lookup && oracleCount_ > 0)
             doLookup();
     }
 }
@@ -338,7 +360,7 @@ TraceProcessor::run(InstCount maxInsts)
 {
     advanceOracle();
     while (stats_.instructions < maxInsts &&
-           (!oracle_.empty() || !backend_.empty())) {
+           (oracleCount_ > 0 || !backend_.empty())) {
         ++now_;
         backend_.tick(now_);
         commitCompleted();

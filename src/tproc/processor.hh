@@ -21,7 +21,7 @@
 #ifndef TPRE_TPROC_PROCESSOR_HH
 #define TPRE_TPROC_PROCESSOR_HH
 
-#include <deque>
+#include <array>
 #include <memory>
 
 #include "bpred/bimodal.hh"
@@ -113,8 +113,11 @@ class TraceProcessor
     struct PendingTrace
     {
         Trace trace;
-        std::vector<DynInst> window;
+        InlineVec<DynInst, kMaxTraceLen> window;
     };
+
+    /** Traces the oracle segments ahead of dispatch. */
+    static constexpr unsigned kLookahead = 4;
 
     /** Fetch pipeline state. */
     enum class FetchState : std::uint8_t
@@ -132,6 +135,18 @@ class TraceProcessor
     /** Slow-path fetch cycles for the front trace (with stats). */
     Cycle slowFetch(const PendingTrace &pending);
     Trace prepared(Trace trace);
+    /**
+     * The only trace-cache writer. Inserting while a cached image
+     * awaits dispatch could overwrite it, so that panics.
+     */
+    void fillTraceCache(const Trace &trace);
+
+    /** The @p i-th pending trace (0 = front). */
+    PendingTrace &
+    pending(unsigned i)
+    {
+        return oracle_[(oracleHead_ + i) % kLookahead];
+    }
 
     const Program &program_;
     ProcessorConfig config_;
@@ -147,13 +162,23 @@ class TraceProcessor
     std::unique_ptr<PreconstructionEngine> engine_;
     std::unique_ptr<Preprocessor> prep_;
 
-    std::deque<PendingTrace> oracle_;
-    std::vector<DynInst> window_;
+    /**
+     * The pending-trace ring (DESIGN.md section 10.1): oracleCount_
+     * segmented traces from oracleHead_ on. The slot after them
+     * collects the dynamic records of the trace being segmented.
+     */
+    std::array<PendingTrace, kLookahead> oracle_;
+    unsigned oracleHead_ = 0;
+    unsigned oracleCount_ = 0;
     bool oracleDone_ = false;
-    /** The trace image to dispatch for the front pending trace. */
-    Trace dispatchTrace_;
-    /** Lengths of dispatched-but-uncommitted traces. */
-    std::deque<unsigned> dispatchedLens_;
+    /**
+     * The image to dispatch for the front pending trace: the
+     * trace-cache line that supplies it, or the pending trace
+     * itself on the slow path. Set by doLookup(), consumed and
+     * cleared by dispatchFront(); no trace-cache insert may come
+     * in between (fillTraceCache() enforces it).
+     */
+    const Trace *dispatchTrace_ = nullptr;
     /** Fetch proceeds with a corrected target after a resolve. */
     bool afterResolve_ = false;
 

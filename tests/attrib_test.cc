@@ -158,8 +158,9 @@ TEST(ClassifyTest, LinkingJalrIsCallNotIndirectBranch)
     indirect.rd = zeroReg;
     indirect.rs1 = 5;
     // rd == x0, rs1 != link: neither call nor return.
-    if (!indirect.isReturn())
+    if (!indirect.isReturn()) {
         EXPECT_EQ(instKindOf(indirect), InstKind::IndirectBranch);
+    }
 }
 
 // ---------------------------------------------------------------

@@ -125,50 +125,6 @@ TEST(ArenaAllocatorTest, MoveKeepsTheAllocator)
     EXPECT_EQ(moved.at(0), 7);
 }
 
-// --- ArenaPool --------------------------------------------------
-
-struct PoolItem
-{
-    explicit PoolItem(int v) : value(v) {}
-    int value;
-};
-
-TEST(ArenaPoolTest, DestroyRecyclesSlotsInLifoOrder)
-{
-    mem::Arena arena;
-    mem::ArenaPool<PoolItem> pool{arena};
-    PoolItem *a = pool.create(1);
-    pool.destroy(a);
-    PoolItem *b = pool.create(2);
-    // The freed slot is recycled, not re-bumped.
-    EXPECT_EQ(static_cast<void *>(a), static_cast<void *>(b));
-    EXPECT_EQ(b->value, 2);
-    pool.destroy(b);
-}
-
-TEST(ArenaPoolTest, MakeGivesScopedOwnership)
-{
-    mem::ArenaPool<PoolItem> pool; // global-allocator mode
-    void *slot = nullptr;
-    {
-        mem::ArenaPool<PoolItem>::Ptr p = pool.make(9);
-        EXPECT_EQ(p->value, 9);
-        slot = p.get();
-    }
-    // The unique_ptr released its slot back to the free list.
-    mem::ArenaPool<PoolItem>::Ptr q = pool.make(10);
-    EXPECT_EQ(static_cast<void *>(q.get()), slot);
-}
-
-TEST(ArenaPoolDeathTest, DoubleReleaseIsFatal)
-{
-    mem::Arena arena;
-    mem::ArenaPool<PoolItem> pool{arena};
-    PoolItem *p = pool.create(3);
-    pool.destroy(p);
-    EXPECT_DEATH(pool.destroy(p), "double release");
-}
-
 // --- Checkpoint byte codec --------------------------------------
 
 TEST(ByteCodecTest, PodsAndBytesRoundTrip)

@@ -346,7 +346,8 @@ TEST(RegionTest, LoopExitSeedsAlignmentGrid)
 {
     PreconPolicy policy;
     policy.loopExitAlignSeeds = 4;
-    Region r(1, {0x1000, StartPointKind::LoopExit}, 256, policy);
+    Region r(256, policy);
+    r.reset(1, {0x1000, StartPointKind::LoopExit});
     std::set<Addr> starts;
     while (!r.worklistEmpty())
         starts.insert(r.takeStartPoint());
@@ -358,7 +359,8 @@ TEST(RegionTest, LoopExitSeedsAlignmentGrid)
 TEST(RegionTest, CallReturnSeedsOnlyOrigin)
 {
     PreconPolicy policy;
-    Region r(1, {0x1000, StartPointKind::CallReturn}, 256, policy);
+    Region r(256, policy);
+    r.reset(1, {0x1000, StartPointKind::CallReturn});
     EXPECT_EQ(r.takeStartPoint(), 0x1000u);
     EXPECT_TRUE(r.worklistEmpty());
 }
@@ -367,7 +369,8 @@ TEST(RegionTest, WorklistDedupsAndBounds)
 {
     PreconPolicy policy;
     policy.worklistMax = 3;
-    Region r(1, {0x1000, StartPointKind::CallReturn}, 256, policy);
+    Region r(256, policy);
+    r.reset(1, {0x1000, StartPointKind::CallReturn});
     r.addStartPoint(0x1000); // duplicate of origin
     r.addStartPoint(0x2000);
     r.addStartPoint(0x3000);
@@ -383,12 +386,55 @@ TEST(RegionTest, WorklistDedupsAndBounds)
 TEST(RegionTest, FinishClearsWork)
 {
     PreconPolicy policy;
-    Region r(1, {0x1000, StartPointKind::CallReturn}, 256, policy);
+    Region r(256, policy);
+    r.reset(1, {0x1000, StartPointKind::CallReturn});
     r.finish(RegionEndReason::CaughtUp);
     EXPECT_EQ(r.state(), RegionState::Done);
     EXPECT_TRUE(r.worklistEmpty());
     r.addStartPoint(0x5000); // ignored once done
     EXPECT_TRUE(r.worklistEmpty());
+}
+
+TEST(RegionTest, ResetSlotMatchesFreshRegion)
+{
+    // A slot recycled after a long region must hold exactly what a
+    // never-used slot holds after the same reset(): same
+    // checkpoint bytes, dedup table back at its initial size.
+    PreconPolicy policy;
+    policy.worklistMax = 4;
+    Region used(256, policy);
+    used.reset(1, {0x1000, StartPointKind::LoopExit});
+    for (Addr a = 0x2000; a < 0x2000 + 200 * instBytes;
+         a += instBytes) {
+        used.addStartPoint(a);
+        if (!used.worklistEmpty())
+            used.takeStartPoint();
+    }
+    used.prefetch().insertLine(0x2000);
+    used.pendingFetches.push_back({0x3000, 9});
+    used.noteNeededLine(0x4000);
+    used.workers = 2;
+    used.tracesConstructed = 5;
+    used.reaped = true;
+    used.bufferRefusals = 1;
+    used.leadingWarmTraces = 3;
+    used.tracesEmitted = 7;
+    used.obsStartCycle = 11;
+    used.finish(RegionEndReason::Warm);
+
+    const StartPoint origin{0x8000, StartPointKind::LoopExit};
+    used.reset(2, origin);
+    Region fresh(256, policy);
+    fresh.reset(2, origin);
+
+    mem::ByteWriter a, b;
+    used.save(a);
+    fresh.save(b);
+    EXPECT_EQ(a.take(), b.take());
+    EXPECT_EQ(used.seq(), 2u);
+    EXPECT_EQ(used.startAddr(), 0x8000u);
+    EXPECT_EQ(used.kind(), StartPointKind::LoopExit);
+    EXPECT_EQ(used.state(), RegionState::Active);
 }
 
 // ---------------------------------------------------------------
@@ -434,11 +480,12 @@ class LockstepWalk
     std::size_t
     addRegion(Addr start)
     {
-        for (auto &side : sides_)
-            side->regions.push_back(std::make_unique<Region>(
-                side->regions.size() + 1,
-                StartPoint{start, StartPointKind::CallReturn}, 256,
-                policy_));
+        for (auto &side : sides_) {
+            auto region = std::make_unique<Region>(256, policy_);
+            region->reset(side->regions.size() + 1,
+                          {start, StartPointKind::CallReturn});
+            side->regions.push_back(std::move(region));
+        }
         return sides_[0]->regions.size() - 1;
     }
 

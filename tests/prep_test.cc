@@ -452,6 +452,57 @@ TEST(PreprocessorTest, StatsAccumulate)
     EXPECT_EQ(prep.stats().tracesProcessed, 1u);
 }
 
+// ---------------------------------------------------------------
+// Schedule identity: one digest over every preprocessed body (plus
+// the pass counters) of every trace the fill unit segments from
+// the eight SPECint95 profiles. A change to any pass's output -- a
+// different schedule, fold or fusion -- fails here directly, not
+// only through cycle counts in the golden timing rows. The digest
+// was captured from the pairwise-dependence list scheduler that the
+// mask-based one replaced (DESIGN.md section 10.3).
+// ---------------------------------------------------------------
+
+std::uint64_t
+fnv1a(std::uint64_t h, const std::vector<std::uint8_t> &bytes)
+{
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(PreprocessorTest, ScheduleIdentityDigest)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t traces = 0;
+    for (const std::string &name : specint95Names()) {
+        WorkloadGenerator gen(specint95Profile(name, 1));
+        const GeneratedWorkload wl = gen.generate();
+        FunctionalCore core(wl.program);
+        FillUnit fill;
+        Preprocessor prep;
+        for (InstCount i = 0; i < 200'000 && !core.halted(); ++i) {
+            Trace *t = fill.feed(core.step());
+            if (!t)
+                continue;
+            Trace body = *t;
+            prep.process(body);
+            mem::ByteWriter w;
+            w.put<std::uint32_t>(body.len());
+            for (const TraceInst &ti : body.insts)
+                putRecord(w, ti);
+            h = fnv1a(h, w.take());
+            ++traces;
+        }
+        mem::ByteWriter w;
+        w.put(prep.stats());
+        h = fnv1a(h, w.take());
+    }
+    EXPECT_GT(traces, 100'000u);
+    EXPECT_EQ(h, 0xb4c13f8032c526c3ull) << std::hex << "digest 0x" << h;
+}
+
 TEST(PreprocessorTest, PassesCanBeDisabled)
 {
     PrepConfig cfg;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "sim/json_report.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
@@ -235,6 +237,21 @@ TEST(JsonReportTest, EmptyRowsStillRenderValidDocument)
     // No rows, no wall time: the aggregate throughput must render
     // as a definite zero, not NaN/null.
     EXPECT_NE(json.find("\"mips\": 0"), std::string::npos);
+}
+
+TEST(JsonReportDeathTest, UnwritableBenchDirIsFatal)
+{
+    const std::string dir =
+        testing::TempDir() + "tpre_missing_bench_dir";
+    BenchReport report("unwritable", 1);
+    EXPECT_EXIT(
+        {
+            setenv("TPRE_BENCH_DIR", dir.c_str(), 1);
+            report.write(0.0);
+        },
+        testing::ExitedWithCode(1),
+        "cannot write bench report to [^ ]*tpre_missing_bench_dir/"
+        "BENCH_unwritable.json: No such file or directory");
 }
 
 TEST(JsonReportTest, ReportsThroughputFields)
