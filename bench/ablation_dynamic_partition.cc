@@ -11,7 +11,8 @@
  * The 3 x 5 design grid mixes Simulator and PartitionSim runs, so
  * it is sharded through par::runJobs directly (--jobs N /
  * TPRE_JOBS); only the Simulator-backed split rows carry the full
- * SimResult schema into BENCH_ablation_dynamic_partition.json.
+ * SimResult schema into BENCH_ablation_dynamic_partition.json, but
+ * every design's instructions count toward its MIPS.
  */
 
 #include "bench_common.hh"
@@ -28,6 +29,8 @@ struct Row
     std::vector<std::string> cells;
     bool hasSimResult = false;
     SimResult simResult;
+    /** Instructions a PartitionSim design simulated. */
+    InstCount partitionInsts = 0;
 };
 
 } // namespace
@@ -105,6 +108,7 @@ main(int argc, char **argv)
                          TableReport::num(r.preconHits),
                          TableReport::num(
                              std::uint64_t(r.finalPreconWays))};
+            row.partitionInsts = r.instructions;
         });
 
     for (std::size_t bi = 0; bi < std::size(names); ++bi) {
@@ -114,6 +118,8 @@ main(int argc, char **argv)
             Row &row = rows[bi * designsPerBench + d];
             if (row.hasSimResult)
                 harness.record(row.simResult);
+            else
+                harness.countInstructions(row.partitionInsts);
             table.addRow(row.cells);
         }
         std::printf("\n--- %s ---\n%s", names[bi],

@@ -211,6 +211,14 @@ class Harness
         return r;
     }
 
+    /** Count a row-less run's instructions (BenchReport). */
+    void
+    countInstructions(std::uint64_t n)
+    {
+        report_.countInstructions(n);
+        simulatedInsts_ += n;
+    }
+
     /** Write the JSON report; returns the binary's exit status. */
     int
     finish()

@@ -91,8 +91,5 @@ main(int argc, char **argv)
         }
     }
     std::printf("%s", table.render().c_str());
-    if (!obs::kEnabled)
-        std::printf("note: built with TPRE_OBS_DISABLED — the "
-                    "alloc counters read zero\n");
     return harness.finish();
 }

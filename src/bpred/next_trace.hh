@@ -86,6 +86,8 @@ class NextTracePredictor
     struct Stats
     {
         std::uint64_t predictions = 0;
+        /** advance() calls: one per trace that executed. */
+        std::uint64_t updates = 0;
         std::uint64_t fromPrimary = 0;
         std::uint64_t fromSecondary = 0;
         std::uint64_t noPrediction = 0;

@@ -246,19 +246,12 @@ diffModels(const Program &program, const DiffConfig &cfg)
         fcfg.hooks = tapsFor(obs, false);
 
         FastSim sim(program, fcfg);
-        const ObsCounters before = ObsCounters::captureThread();
         const FastSimStats &stats = sim.run(cfg.maxInsts);
-        const ObsCounters delta =
-            ObsCounters::captureThread() - before;
 
         if (auto f = prefixed("fastsim",
-                              obsReconcilesFast(delta, stats))) {
-            result.failure = f;
-            return result;
-        }
-        if (auto f = prefixed("fastsim",
                               ledgerReconcilesFast(
-                                  stats, sim.traceCache()))) {
+                                  stats, sim.traceCache(),
+                                  sim.fillUnit().stats()))) {
             result.failure = f;
             return result;
         }
@@ -298,8 +291,8 @@ diffModels(const Program &program, const DiffConfig &cfg)
     // same configuration hookless with the block cache forced on:
     // every statistic except the block counters themselves must
     // come out identical, and the run must still reconcile against
-    // its own obs counters (feedRun batches fill.insts) and
-    // conserve instructions.
+    // its components' own counts (feedRun batches the fill unit's
+    // instruction count) and conserve instructions.
     {
         FastSimConfig bcfg;
         bcfg.traceCacheEntries = cfg.traceCacheEntries;
@@ -310,13 +303,12 @@ diffModels(const Program &program, const DiffConfig &cfg)
         bcfg.blockCache = true;
 
         FastSim sim(program, bcfg);
-        const ObsCounters before = ObsCounters::captureThread();
         const FastSimStats &stats = sim.run(cfg.maxInsts);
-        const ObsCounters delta =
-            ObsCounters::captureThread() - before;
 
         if (auto f = prefixed("block-dispatch",
-                              obsReconcilesFast(delta, stats))) {
+                              ledgerReconcilesFast(
+                                  stats, sim.traceCache(),
+                                  sim.fillUnit().stats()))) {
             result.failure = f;
             return result;
         }
@@ -351,13 +343,12 @@ diffModels(const Program &program, const DiffConfig &cfg)
 
         {
             FastSim sim(program, acfg);
-            const ObsCounters before = ObsCounters::captureThread();
             const FastSimStats &stats = sim.run(cfg.maxInsts);
-            const ObsCounters delta =
-                ObsCounters::captureThread() - before;
 
             if (auto f = prefixed("arena",
-                                  obsReconcilesFast(delta, stats))) {
+                                  ledgerReconcilesFast(
+                                      stats, sim.traceCache(),
+                                      sim.fillUnit().stats()))) {
                 result.failure = f;
                 return result;
             }
@@ -379,10 +370,9 @@ diffModels(const Program &program, const DiffConfig &cfg)
     // point, typically mid-trace), serialize the checkpoint to
     // bytes, restore the bytes into a fresh simulator, and run the
     // fork to the same budget. The forked run's statistics must be
-    // bit-identical to the uninterrupted run's. Obs counters are
-    // not reconciled here: the fork only performs the second half
-    // of the work, so its thread-local deltas cover a partial run
-    // by design.
+    // bit-identical to the uninterrupted run's, and the components'
+    // own counts — restored with the caches, the engine and the
+    // stats — must still reconcile over the whole run.
     {
         FastSimConfig ccfg;
         ccfg.traceCacheEntries = cfg.traceCacheEntries;
@@ -406,6 +396,13 @@ diffModels(const Program &program, const DiffConfig &cfg)
         const FastSimStats &stats = forked.run(cfg.maxInsts);
         if (auto f = prefixed("checkpoint",
                               fastStatsEqual(liveStats, stats))) {
+            result.failure = f;
+            return result;
+        }
+        if (auto f = prefixed("checkpoint",
+                              ledgerReconcilesFast(
+                                  stats, forked.traceCache(),
+                                  forked.fillUnit().stats()))) {
             result.failure = f;
             return result;
         }
@@ -553,19 +550,12 @@ diffModels(const Program &program, const DiffConfig &cfg)
         pcfg.hooks = tapsFor(obs, true);
 
         TraceProcessor proc(program, pcfg);
-        const ObsCounters before = ObsCounters::captureThread();
         const ProcessorStats &stats = proc.run(cfg.maxInsts);
-        const ObsCounters delta =
-            ObsCounters::captureThread() - before;
 
         if (auto f = prefixed("processor",
-                              obsReconcilesTiming(delta, stats))) {
-            result.failure = f;
-            return result;
-        }
-        if (auto f = prefixed("processor",
                               ledgerReconcilesTiming(
-                                  stats, proc.traceCache()))) {
+                                  stats, proc.traceCache(),
+                                  proc.ntp().stats()))) {
             result.failure = f;
             return result;
         }

@@ -74,6 +74,20 @@ mutateProfile(Rng &rng)
 // ---- raw structured-random programs ----------------------------
 
 /**
+ * Symbol of function @p i, "f<i>". Appended rather than built as
+ * `"f" + std::to_string(i)`, which trips a g++ 12 -Wrestrict false
+ * positive.
+ */
+std::string
+funcSymbol(unsigned i)
+{
+    std::string name = "f";
+    name += std::to_string(i);
+    return name;
+}
+
+
+/**
  * Emits a random but well-behaved program: a DAG of functions (each
  * calls only higher-indexed ones, so there is no recursion and
  * every call terminates), bounded counted loops, forward
@@ -92,7 +106,7 @@ class RandomProgramGen
         const unsigned numFuncs = unsigned(rng_.nextRange(2, 8));
         funcs_.clear();
         for (unsigned i = 0; i < numFuncs; ++i)
-            funcs_.push_back(b_.newLabel("f" + std::to_string(i)));
+            funcs_.push_back(b_.newLabel(funcSymbol(i)));
 
         for (unsigned i = numFuncs; i-- > 0;)
             emitFunction(i);

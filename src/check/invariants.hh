@@ -22,10 +22,12 @@
 #include <string>
 #include <vector>
 
+#include "bpred/next_trace.hh"
 #include "bpred/ras.hh"
 #include "func/core.hh"
 #include "precon/buffers.hh"
 #include "telemetry/attrib.hh"
+#include "trace/fill_unit.hh"
 #include "trace/selector.hh"
 
 namespace tpre
@@ -102,66 +104,6 @@ Violation streamCallRetBalanced(const std::vector<DynInst> &stream,
                                 bool halted);
 
 /**
- * Snapshot of the tpre::obs counters the simulators pin — read
- * from the *calling thread's* metric cells only, so bracketing a
- * simulator run with two captureThread() calls isolates that run's
- * deltas even while sibling worker threads simulate concurrently
- * (a whole simulation always executes on one thread).
- *
- * The instrumentation contract: these deltas must reconcile
- * *exactly* with the run's SimResult/TProcStats counters — see
- * obsReconcilesFast / obsReconcilesTiming for the per-mode
- * algebra. All zeros under TPRE_OBS_DISABLED.
- */
-struct ObsCounters
-{
-    std::uint64_t tcProbes = 0;       ///< tcache.probes
-    std::uint64_t tcHits = 0;         ///< tcache.hits
-    std::uint64_t tcFills = 0;        ///< tcache.fills
-    std::uint64_t pbProbes = 0;       ///< pb.probes
-    std::uint64_t pbHits = 0;         ///< pb.hits
-    std::uint64_t fillInsts = 0;      ///< fill.insts
-    std::uint64_t fillTraces = 0;     ///< fill.traces
-    std::uint64_t fillFlushes = 0;    ///< fill.flushes
-    std::uint64_t ntpPredictions = 0; ///< ntp.predictions
-    std::uint64_t ntpUpdates = 0;     ///< ntp.updates
-    std::uint64_t preconStartPoints = 0;       ///< precon.start_points
-    std::uint64_t preconRegionsStarted = 0;    ///< precon.regions_started
-    std::uint64_t preconTracesConstructed = 0; ///< precon.traces_constructed
-    std::uint64_t preconTracesBuffered = 0;    ///< precon.traces_buffered
-    std::uint64_t prepTraces = 0;     ///< prep.traces
-
-    /** Read the calling thread's current cells. */
-    static ObsCounters captureThread();
-};
-
-/** Per-field difference (after - before of two captures). */
-ObsCounters operator-(const ObsCounters &after,
-                      const ObsCounters &before);
-
-/**
- * The obs counter deltas of one FastSim::run must reconcile
- * exactly with its FastSimStats: one trace-cache probe per trace,
- * one fill per pb-promote or miss-donate, every committed
- * instruction fed through the fill unit, and the preconstruction
- * ledger equal on both sides. Holds for the stand-alone
- * PreconstructionBuffers configuration (the diff harness's);
- * trivially green under TPRE_OBS_DISABLED.
- */
-Violation obsReconcilesFast(const ObsCounters &delta,
-                            const FastSimStats &stats);
-
-/**
- * Same contract for a TraceProcessor::run: the trace cache sees a
- * second probe after each pb promotion (tcProbes == tcHits +
- * tcMisses + 2*pbHits), the NTP advances once per dispatched trace
- * and predicts once per non-empty successor window, and the
- * preprocessor counts each first-time trace exactly once.
- */
-Violation obsReconcilesTiming(const ObsCounters &delta,
-                              const ProcessorStats &stats);
-
-/**
  * The trace-cache ledger contract (DESIGN.md section 12): the
  * (origin × loop-class) cells a run's TraceCache accumulated must
  * agree *exactly* with numbers counted independently of the
@@ -179,21 +121,49 @@ Violation obsReconcilesTiming(const ObsCounters &delta,
  * 1..kMaxTraceLen instructions, so
  * builds <= sum(instBuilt) <= 16*builds and
  * hits <= sum(instServed) <= 16*hits, and firstUses <= builds,
- * firstUses <= hits, evictions <= builds. The ledger is plain
- * stats bookkeeping, so this holds under TPRE_OBS_DISABLED too.
+ * firstUses <= hits, evictions <= builds.
  */
 Violation ledgerReconciles(const AttribTable &ledger,
                            std::uint64_t tcHits, std::uint64_t pbHits,
                            std::uint64_t tcMisses,
                            std::uint64_t residentValid);
 
-/** ledgerReconciles() over a finished FastSim run. */
+/**
+ * The whole counting contract of a finished FastSim run, from a
+ * freshly constructed simulator: each component's own count of its
+ * work (@p cache probes, @p fill unit feeds, the engine's buffer
+ * probes and hits in stats.precon) must equal what the frontend
+ * counted of the same events at a different site —
+ *
+ *   cache probes           == traces (one lookup per trace)
+ *   engine buffer probes   == tcMisses + pbHits (one per miss;
+ *                             checked when an engine ran)
+ *   engine bufferHits      == pbHits
+ *   fill insts             == instructions
+ *   fill traces + flushes  == traces
+ *
+ * (message prefix "count-reconcile:"), and then ledgerReconciles()
+ * holds for the cache, whose ledger the stats copy must match.
+ */
 Violation ledgerReconcilesFast(const FastSimStats &stats,
-                               const TraceCache &cache);
+                               const TraceCache &cache,
+                               const FillUnit::Stats &fill);
 
-/** ledgerReconciles() over a finished TraceProcessor run. */
+/**
+ * The same contract for a finished TraceProcessor run. Each pb
+ * promotion re-probes the cache for the stored image, and the NTP
+ * advances once per dispatched trace and predicts once per
+ * successor it classifies:
+ *
+ *   cache probes           == tcHits + tcMisses + 2*pbHits
+ *   engine buffer probes   == tcMisses + pbHits
+ *   engine bufferHits      == pbHits
+ *   ntp updates            == traces
+ *   ntp predictions        == ntpCorrect + ntpWrong + ntpNone
+ */
 Violation ledgerReconcilesTiming(const ProcessorStats &stats,
-                                 const TraceCache &cache);
+                                 const TraceCache &cache,
+                                 const NextTracePredictor::Stats &ntp);
 
 } // namespace tpre::check
 

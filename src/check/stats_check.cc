@@ -153,6 +153,8 @@ fastStatsEqual(const FastSimStats &live,
             {"precon.tracesAlreadyInTc",
              live.precon.tracesAlreadyInTc,
              replayed.precon.tracesAlreadyInTc},
+            {"precon.bufferProbes", live.precon.bufferProbes,
+             replayed.precon.bufferProbes},
             {"precon.bufferHits", live.precon.bufferHits,
              replayed.precon.bufferHits},
             {"precon.linesFetched", live.precon.linesFetched,

@@ -10,18 +10,10 @@
  * contention, no allocation). Readers aggregate across all live
  * thread blocks plus the folded cells of exited threads under the
  * registry mutex, so reads are exact but cost a lock — callers are
- * report generators and invariant checkers, never simulators.
+ * report generators, the telemetry endpoint and tests, never
+ * simulators.
  *
- * Per-thread reads (counterThreadValue) exist for the
- * instrumentation contract: one simulation runs entirely on one
- * thread, so the before/after delta of the calling thread's cells
- * reconciles exactly with that run's SimResult counters even while
- * sibling workers simulate concurrently (check/invariants.hh).
- *
- * Hot-path call sites use the TPRE_OBS_* macros from obs/obs.hh,
- * which compile to nothing under -DTPRE_OBS_DISABLED=ON; the
- * registry itself is always built so reports and tests link in
- * every configuration.
+ * Hot-path call sites use the TPRE_OBS_* macros from obs/obs.hh.
  */
 
 #ifndef TPRE_OBS_METRICS_HH
@@ -123,13 +115,6 @@ class MetricsRegistry
 
     /** Aggregated histogram; empty for unregistered names. */
     HistogramData histogramValue(std::string_view name) const;
-
-    /**
-     * The calling thread's own cell for a counter (or gauge, raw):
-     * exact for work done on this thread, blind to every other.
-     * 0 for unregistered names.
-     */
-    std::uint64_t counterThreadValue(std::string_view name) const;
 
     /** Every registered metric, aggregated, sorted by name. */
     std::vector<MetricRow> snapshot() const;

@@ -1,12 +1,11 @@
 /**
  * @file
  * Instrumentation entry points for tpre::obs. Hot-path code uses
- * these macros only — never the registry/tracer classes directly —
- * so a -DTPRE_OBS_DISABLED=ON build compiles every call site to
- * ((void)0) with zero residue (no statics, no atomics, no strings).
- * The obs classes themselves are always compiled: reports and
- * tests read the (empty) registry in either configuration, and
- * tpre::obs::kEnabled tells them which world they are in.
+ * these macros only — never the registry/tracer classes directly.
+ * The registry carries per-run, per-task and histogram metrics;
+ * per-event simulator counts (trace-cache probes, buffer hits,
+ * constructed traces, ...) live in the components' own stats and
+ * in the trace-cache ledger, never here (DESIGN.md section 11).
  *
  * All counter/gauge/histogram names and trace categories must be
  * string literals: the metric name is resolved to a cell offset
@@ -19,30 +18,6 @@
 
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
-
-namespace tpre::obs
-{
-
-/** True when instrumentation is compiled in (the default). */
-#ifdef TPRE_OBS_DISABLED
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
-
-} // namespace tpre::obs
-
-#ifdef TPRE_OBS_DISABLED
-
-#define TPRE_OBS_COUNT(...) ((void)0)
-#define TPRE_OBS_GAUGE_ADD(...) ((void)0)
-#define TPRE_OBS_HIST(...) ((void)0)
-#define TPRE_TRACE_INSTANT(...) ((void)0)
-#define TPRE_TRACE_COMPLETE(...) ((void)0)
-#define TPRE_TRACE_COUNTER(...) ((void)0)
-#define TPRE_OBS_WALL_SPAN(cat, name) ((void)0)
-
-#else
 
 /** Bump counter @p name (a string literal) by n (default 1). */
 #define TPRE_OBS_COUNT(name, ...)                                   \
@@ -82,7 +57,5 @@ inline constexpr bool kEnabled = true;
 #define TPRE_OBS_WALL_SPAN(cat, name)                               \
     ::tpre::obs::WallSpan TPRE_OBS_CONCAT_(tpreObsSpan_,            \
                                            __LINE__)(cat, name)
-
-#endif // TPRE_OBS_DISABLED
 
 #endif // TPRE_OBS_OBS_HH

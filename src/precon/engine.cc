@@ -60,11 +60,9 @@ PreconstructionEngine::lookupBuffer(const TraceId &id)
                              *externalStore_)
                        : buffers_;
     const Trace *trace = store.lookup(id);
-    TPRE_OBS_COUNT("pb.probes");
-    if (trace) {
+    ++stats_.bufferProbes;
+    if (trace)
         ++stats_.bufferHits;
-        TPRE_OBS_COUNT("pb.hits");
-    }
     return trace;
 }
 
@@ -120,7 +118,6 @@ PreconstructionEngine::observeCommit(Addr pc,
     }
     if (stack_.push(candidate, kind)) {
         ++stats_.startPointsPushed;
-        TPRE_OBS_COUNT("precon.start_points");
         TPRE_OBS_HIST("precon.stack_depth", stack_.size());
         TPRE_TRACE_COUNTER("precon", "stack_depth",
                            obs::Domain::Cycles, now_, stack_.size());
@@ -143,7 +140,6 @@ PreconstructionEngine::emitTrace(Region &region, Trace &trace)
 
     ++stats_.tracesConstructed;
     ++region.tracesEmitted;
-    TPRE_OBS_COUNT("precon.traces_constructed");
     // Provenance stamp: this trace exists because the engine built
     // it ahead of demand, at this engine cycle. The stamp survives
     // buffering, promotion into the trace cache and preprocessing,
@@ -170,7 +166,6 @@ PreconstructionEngine::emitTrace(Region &region, Trace &trace)
     if (!store.insert(trace, region.seq()))
         return false;
     ++stats_.tracesBuffered;
-    TPRE_OBS_COUNT("precon.traces_buffered");
     if (diagLog_)
         bufferedLog_.push_back(id);
     return true;
@@ -251,7 +246,6 @@ PreconstructionEngine::issueFetch()
     const ICache::AccessResult res =
         icache_.fetchLine(chosen_line, true);
     ++stats_.linesFetched;
-    TPRE_OBS_COUNT("precon.lines_fetched");
     chosen->pendingFetches.push_back(
         {chosen_line, now_ + res.latency});
     if (pendingFetchCount_++ == 0)
@@ -390,7 +384,6 @@ PreconstructionEngine::startRegion()
         regionSig_ |= addrSigBit(sp.addr);
         ++stats_.regionsStarted;
         started = true;
-        TPRE_OBS_COUNT("precon.regions_started");
         TPRE_TRACE_INSTANT("precon", "region_start",
                            obs::Domain::Cycles, now_, sp.addr);
     }

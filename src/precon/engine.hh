@@ -94,6 +94,8 @@ class PreconstructionEngine : public PreconTraceSink
         std::uint64_t tracesConstructed = 0;
         std::uint64_t tracesBuffered = 0;
         std::uint64_t tracesAlreadyInTc = 0;
+        /** lookupBuffer() calls: one per trace-cache miss. */
+        std::uint64_t bufferProbes = 0;
         std::uint64_t bufferHits = 0;
         std::uint64_t linesFetched = 0;
     };

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "obs/obs.hh"
+#include "obs/metrics.hh"
 
 namespace tpre
 {
@@ -49,67 +49,6 @@ i64(std::int64_t v)
     std::snprintf(buf, sizeof(buf), "%lld",
                   static_cast<long long>(v));
     return buf;
-}
-
-/**
- * The aggregated tpre::obs registry as a JSON object: counters and
- * gauges as name -> value maps, histograms with their bucket
- * layout. Empty maps (e.g. under TPRE_OBS_DISABLED) still render,
- * so consumers can rely on the keys existing.
- */
-std::string
-renderObsSection()
-{
-    const std::vector<obs::MetricRow> rows =
-        obs::MetricsRegistry::instance().snapshot();
-
-    std::string counters, gauges, histograms;
-    for (const obs::MetricRow &row : rows) {
-        switch (row.kind) {
-          case obs::MetricKind::Counter:
-            if (!counters.empty())
-                counters += ", ";
-            counters += "\"" + jsonEscape(row.name) +
-                        "\": " + u64(static_cast<std::uint64_t>(
-                                    row.value));
-            break;
-          case obs::MetricKind::Gauge:
-            if (!gauges.empty())
-                gauges += ", ";
-            gauges += "\"" + jsonEscape(row.name) +
-                      "\": " + i64(row.value);
-            break;
-          case obs::MetricKind::Histogram: {
-            if (!histograms.empty())
-                histograms += ", ";
-            histograms += "\"" + jsonEscape(row.name) +
-                          "\": {\"count\": " + u64(row.hist.count) +
-                          ", \"sum\": " + u64(row.hist.sum) +
-                          ", \"bounds\": [";
-            for (std::size_t i = 0; i < row.hist.bounds.size(); ++i) {
-                histograms += i ? ", " : "";
-                histograms += u64(row.hist.bounds[i]);
-            }
-            histograms += "], \"buckets\": [";
-            for (std::size_t i = 0; i < row.hist.buckets.size();
-                 ++i) {
-                histograms += i ? ", " : "";
-                histograms += u64(row.hist.buckets[i]);
-            }
-            histograms += "]}";
-            break;
-          }
-        }
-    }
-
-    std::string out;
-    out += "{\n";
-    out += "    \"enabled\": " + boolWord(obs::kEnabled) + ",\n";
-    out += "    \"counters\": {" + counters + "},\n";
-    out += "    \"gauges\": {" + gauges + "},\n";
-    out += "    \"histograms\": {" + histograms + "}\n";
-    out += "  }";
-    return out;
 }
 
 } // namespace
@@ -154,6 +93,64 @@ jsonNumber(double value)
     return buf;
 }
 
+std::string
+renderObsJson()
+{
+    std::string counters, gauges, histograms;
+    // Appended piece by piece: `"x" + str + ...` chains trip g++
+    // 12's -Wrestrict false positive.
+    const auto key = [](std::string &map, const std::string &name) {
+        if (!map.empty())
+            map += ", ";
+        map += '"';
+        map += jsonEscape(name);
+        map += "\": ";
+    };
+    const auto list = [](std::string &out,
+                         const std::vector<std::uint64_t> &values) {
+        out += '[';
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            if (i)
+                out += ", ";
+            out += u64(values[i]);
+        }
+        out += ']';
+    };
+    for (const obs::MetricRow &row :
+         obs::MetricsRegistry::instance().snapshot()) {
+        switch (row.kind) {
+          case obs::MetricKind::Counter:
+            key(counters, row.name);
+            counters += u64(static_cast<std::uint64_t>(row.value));
+            break;
+          case obs::MetricKind::Gauge:
+            key(gauges, row.name);
+            gauges += i64(row.value);
+            break;
+          case obs::MetricKind::Histogram:
+            key(histograms, row.name);
+            histograms += "{\"count\": ";
+            histograms += u64(row.hist.count);
+            histograms += ", \"sum\": ";
+            histograms += u64(row.hist.sum);
+            histograms += ", \"bounds\": ";
+            list(histograms, row.hist.bounds);
+            histograms += ", \"buckets\": ";
+            list(histograms, row.hist.buckets);
+            histograms += '}';
+            break;
+        }
+    }
+    std::string out = "{\n    \"counters\": {";
+    out += counters;
+    out += "},\n    \"gauges\": {";
+    out += gauges;
+    out += "},\n    \"histograms\": {";
+    out += histograms;
+    out += "}\n  }";
+    return out;
+}
+
 BenchReport::BenchReport(std::string bench, unsigned jobs)
     : bench_(std::move(bench)), jobs_(jobs)
 {
@@ -168,7 +165,7 @@ BenchReport::add(const SimResult &row)
 std::string
 BenchReport::render(double wallSeconds) const
 {
-    std::uint64_t total_insts = 0;
+    std::uint64_t total_insts = unrowedInsts_;
     bool any_sampled = false;
     for (const SimResult &r : rows_) {
         total_insts += r.instructions;
@@ -197,7 +194,7 @@ BenchReport::render(double wallSeconds) const
                                 wallSeconds
                           : 0.0) +
            ",\n";
-    out += "  \"obs\": " + renderObsSection() + ",\n";
+    out += "  \"obs\": " + renderObsJson() + ",\n";
     // Whole-report attribution: the per-row tables summed
     // cell-wise, so one decanting table covers the bench.
     AttribTable aggregate;

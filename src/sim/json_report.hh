@@ -11,11 +11,11 @@
  *     "wall_seconds": <total wall-clock of the run>,
  *     "jobs": <worker threads used>,
  *     "sampled": <any row used SMARTS-style sampling?>,
- *     "simulated_instructions": <sum of row instruction counts>,
+ *     "simulated_instructions": <sum of row instruction counts,
+ *                                plus countInstructions()>,
  *     "mips": <simulated_instructions / 1e6 / wall_seconds;
  *              aggregate across all jobs>,
- *     "obs": {
- *       "enabled": <tpre::obs compiled in?>,
+ *     "obs": {       <- per-run, per-task and histogram metrics
  *       "counters": {"<name>": N, ...},
  *       "gauges": {"<name>": N, ...},
  *       "histograms": {"<name>": {"count": N, "sum": N,
@@ -93,6 +93,15 @@ std::string jsonEscape(const std::string &text);
  */
 std::string jsonNumber(double value);
 
+/**
+ * The aggregated tpre::obs registry as a JSON object (the reports'
+ * and the flight recorder's "obs" section): counters and gauges as
+ * name -> value maps, histograms with their bucket layout. Empty
+ * maps still render, so consumers can rely on the keys existing.
+ * Laid out for a two-space-indented "obs" key.
+ */
+std::string renderObsJson();
+
 /** One bench binary's machine-readable result set. */
 class BenchReport
 {
@@ -106,6 +115,13 @@ class BenchReport
 
     /** Append one result row (call in output order). */
     void add(const SimResult &row);
+
+    /**
+     * Count @p n instructions a run without a SimResult row
+     * simulated (e.g. a PartitionSim design) toward
+     * "simulated_instructions" and "mips".
+     */
+    void countInstructions(std::uint64_t n) { unrowedInsts_ += n; }
 
     /** Report (and output file) name. */
     const std::string &name() const { return bench_; }
@@ -127,6 +143,7 @@ class BenchReport
     std::string bench_;
     unsigned jobs_;
     std::vector<SimResult> rows_;
+    std::uint64_t unrowedInsts_ = 0;
 };
 
 } // namespace tpre

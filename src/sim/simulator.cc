@@ -125,6 +125,7 @@ replayTrace(const std::string &tptPath, SimConfig config)
     result.wallSeconds = rs.wallSeconds;
     result.mips = rs.mips();
     TPRE_OBS_COUNT("sim.instructions", result.instructions);
+    telemetry::publishRunLedgers(result.attrib);
     return result;
 }
 
@@ -366,7 +367,7 @@ Simulator::run(const SimConfig &config)
         }
         result.precon = st.precon;
         result.prep = st.prep;
-            result.attrib = st.attrib;
+        result.attrib = st.attrib;
     }
 
     result.wallSeconds =

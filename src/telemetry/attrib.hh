@@ -16,8 +16,7 @@
  * the origin row sum (AttribTable::originSum), computed wherever a
  * report or check needs it. Bookkeeping is plain integer
  * arithmetic on the owning simulator's thread — no atomics, no obs
- * macros — so the ledger is exact and checkable in every build,
- * TPRE_OBS_DISABLED included.
+ * macros — so the ledger is exact and checkable.
  *
  * The types live in namespace tpre (not tpre::telemetry) because
  * the trace layer embeds them; the telemetry subsystem renders

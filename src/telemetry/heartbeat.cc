@@ -7,6 +7,7 @@
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
 #include "sim/json_report.hh"
+#include "telemetry/prometheus.hh"
 
 namespace tpre::telemetry
 {
@@ -52,27 +53,47 @@ Heartbeat::stop()
     thread_.join();
 }
 
-std::string
-Heartbeat::formatBeat(std::uint64_t instructions, double seconds,
-                      std::uint64_t tcacheProbes,
-                      std::uint64_t tcacheHits, std::uint64_t pbHits)
+Heartbeat::Counts
+Heartbeat::Counts::published()
 {
+    const AttribTable ledger = publishedLedgers();
+    Counts c;
+    c.instructions = obs::MetricsRegistry::instance().counterValue(
+        "sim.instructions");
+    c.hits = ledger.total().hits;
+    c.fillBuilds = ledger.originSum(TraceOrigin::FillUnit).builds;
+    c.preconBuilds = ledger.originSum(TraceOrigin::Precon).builds;
+    return c;
+}
+
+Heartbeat::Counts
+Heartbeat::Counts::operator-(const Counts &earlier) const
+{
+    Counts d;
+    d.instructions = instructions - earlier.instructions;
+    d.hits = hits - earlier.hits;
+    d.fillBuilds = fillBuilds - earlier.fillBuilds;
+    d.preconBuilds = preconBuilds - earlier.preconBuilds;
+    return d;
+}
+
+std::string
+Heartbeat::formatBeat(const Counts &interval, double seconds)
+{
+    const std::uint64_t instructions = interval.instructions;
     const double mips =
         seconds > 0.0
             ? static_cast<double>(instructions) / 1e6 / seconds
             : 0.0;
-    // Hit rate counts both trace-cache hits and preconstruction
-    // buffer promotions as supply from the trace path; coverage is
-    // the preconstructed share of that supply (paper section 4).
+    const std::uint64_t fetched = interval.hits + interval.fillBuilds;
     const double hitRate =
-        tcacheProbes > 0
-            ? static_cast<double>(tcacheHits + pbHits) /
-                  static_cast<double>(tcacheProbes)
-            : 0.0;
+        fetched > 0 ? static_cast<double>(interval.hits) /
+                          static_cast<double>(fetched)
+                    : 0.0;
     const double preconCoverage =
-        tcacheHits + pbHits > 0
-            ? static_cast<double>(pbHits) /
-                  static_cast<double>(tcacheHits + pbHits)
+        interval.hits > 0
+            ? static_cast<double>(interval.preconBuilds) /
+                  static_cast<double>(interval.hits)
             : 0.0;
 
     if (logFormat() == LogFormat::Json) {
@@ -99,41 +120,25 @@ void
 Heartbeat::beatLoop(unsigned periodSeconds)
 {
     ScopedLogTag tag("heartbeat");
-    const obs::MetricsRegistry &reg =
-        obs::MetricsRegistry::instance();
-
-    std::uint64_t lastInsts = reg.counterValue("sim.instructions");
-    std::uint64_t lastProbes = reg.counterValue("tcache.probes");
-    std::uint64_t lastHits = reg.counterValue("tcache.hits");
-    std::uint64_t lastPbHits = reg.counterValue("pb.hits");
+    Counts last = Counts::published();
     std::uint64_t lastMicros = obs::wallMicros();
 
     std::unique_lock<std::mutex> lock(mu_);
     while (!cv_.wait_for(lock,
                          std::chrono::seconds(periodSeconds),
                          [this] { return stopping_; })) {
-        const std::uint64_t insts =
-            reg.counterValue("sim.instructions");
-        const std::uint64_t probes =
-            reg.counterValue("tcache.probes");
-        const std::uint64_t hits = reg.counterValue("tcache.hits");
-        const std::uint64_t pbHits = reg.counterValue("pb.hits");
+        const Counts now = Counts::published();
         const std::uint64_t nowMicros = obs::wallMicros();
 
         const std::string beat = formatBeat(
-            insts - lastInsts,
-            static_cast<double>(nowMicros - lastMicros) / 1e6,
-            probes - lastProbes, hits - lastHits,
-            pbHits - lastPbHits);
+            now - last,
+            static_cast<double>(nowMicros - lastMicros) / 1e6);
         if (logFormat() == LogFormat::Json)
             logRawLine(beat);
         else
             inform("%s", beat.c_str());
 
-        lastInsts = insts;
-        lastProbes = probes;
-        lastHits = hits;
-        lastPbHits = pbHits;
+        last = now;
         lastMicros = nowMicros;
     }
 }

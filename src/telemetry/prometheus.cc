@@ -315,6 +315,14 @@ publishRunLedgers(const AttribTable &table)
     pub.table.add(table);
 }
 
+AttribTable
+publishedLedgers()
+{
+    PublishedLedger &pub = publishedLedger();
+    const std::lock_guard<std::mutex> lock(pub.mutex);
+    return pub.table;
+}
+
 std::string
 renderPublishedLedgers()
 {

@@ -6,7 +6,7 @@
  * the output without a live server or a populated registry:
  *
  *   obs name          exposition family
- *   tcache.probes  -> tpre_tcache_probes_total (counter)
+ *   sim.instructions -> tpre_sim_instructions_total (counter)
  *   pool.queue_depth -> tpre_pool_queue_depth (gauge)
  *   precon.stack_depth -> tpre_precon_stack_depth (histogram:
  *       cumulative _bucket{le="..."} series, _sum, _count)
@@ -64,6 +64,9 @@ std::string renderLedgerPrometheus(const AttribTable &table);
  * once per completed run.
  */
 void publishRunLedgers(const AttribTable &table);
+
+/** Snapshot of the process-wide aggregate (the heartbeat's source). */
+AttribTable publishedLedgers();
 
 /** Render the process-wide aggregate as labeled families. */
 std::string renderPublishedLedgers();

@@ -401,6 +401,7 @@ FastSim::checkpoint(mem::CheckpointKind kind) const
         if (engine_)
             engine_->save(w);
         w.put(stats_);
+        w.put(segmenter_.stats());
         w.put<std::uint32_t>(
             static_cast<std::uint32_t>(seenTraces_.size()));
         for (const TraceId &id : seenTraces_)
@@ -462,6 +463,7 @@ FastSim::forkFrom(const mem::Checkpoint &checkpoint)
     if (engine_)
         engine_->restore(r);
     stats_ = r.get<FastSimStats>();
+    segmenter_.restoreStats(r.get<FillUnit::Stats>());
     seenTraces_.clear();
     const auto numSeen = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < numSeen; ++i) {

@@ -235,6 +235,7 @@ class FastSim
     std::pair<std::size_t, std::size_t>
     bufferedSeenIntersection() const;
     const TraceCache &traceCache() const { return traceCache_; }
+    const FillUnit &fillUnit() const { return segmenter_; }
     const PreconstructionEngine *engine() const
     { return engine_.get(); }
     /** The block cache, when block dispatch is in use. */

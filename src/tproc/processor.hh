@@ -108,6 +108,9 @@ class TraceProcessor
     /** The primary trace cache (ledger reconciliation). */
     const TraceCache &traceCache() const { return traceCache_; }
 
+    /** The next-trace predictor (its counts are reconciled too). */
+    const NextTracePredictor &ntp() const { return ntp_; }
+
   private:
     /** One oracle-segmented trace plus its dynamic records. */
     struct PendingTrace

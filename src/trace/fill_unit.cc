@@ -10,7 +10,7 @@ FillUnit::FillUnit(SelectionPolicy policy) : builder_(policy)
 void
 FillUnit::squash()
 {
-    TPRE_OBS_COUNT("fill.squashes");
+    ++stats_.squashes;
     builder_.abandon();
 }
 
@@ -21,7 +21,7 @@ FillUnit::flush()
         builder_.abandon();
         return nullptr;
     }
-    TPRE_OBS_COUNT("fill.flushes");
+    ++stats_.flushes;
     return &builder_.finalize();
 }
 

@@ -10,7 +10,6 @@
 #define TPRE_TRACE_FILL_UNIT_HH
 
 #include "func/core.hh"
-#include "obs/obs.hh"
 #include "trace/selector.hh"
 
 namespace tpre
@@ -20,6 +19,15 @@ namespace tpre
 class FillUnit
 {
   public:
+    /** What the fill unit did, counted where it did it. */
+    struct Stats
+    {
+        std::uint64_t insts = 0;     ///< instructions fed
+        std::uint64_t traces = 0;    ///< traces completed by a feed
+        std::uint64_t flushes = 0;   ///< partial traces flushed
+        std::uint64_t squashes = 0;  ///< squash() calls
+    };
+
     explicit FillUnit(SelectionPolicy policy = {});
 
     /**
@@ -37,7 +45,7 @@ class FillUnit
     Trace *
     feed(const DynInst &dyn)
     {
-        TPRE_OBS_COUNT("fill.insts");
+        ++stats_.insts;
         if (!builder_.active())
             builder_.begin(dyn.pc);
 
@@ -45,7 +53,7 @@ class FillUnit
             builder_.append(dyn.inst, dyn.pc, dyn.taken, dyn.nextPc);
         if (!done)
             return nullptr;
-        TPRE_OBS_COUNT("fill.traces");
+        ++stats_.traces;
         return &builder_.finalize();
     }
 
@@ -72,12 +80,12 @@ class FillUnit
     Trace *
     feedRun(const Instruction *insts, Addr pc, unsigned n)
     {
-        TPRE_OBS_COUNT("fill.insts", n);
+        stats_.insts += n;
         if (!builder_.active())
             builder_.begin(pc);
         if (!builder_.appendRun(insts, pc, n))
             return nullptr;
-        TPRE_OBS_COUNT("fill.traces");
+        ++stats_.traces;
         return &builder_.finalize();
     }
 
@@ -93,14 +101,22 @@ class FillUnit
     /** Is a trace currently being assembled? */
     bool building() const { return builder_.active(); }
 
-    /** Checkpoint/restore the in-flight builder state. */
+    /**
+     * Checkpoint/restore the in-flight builder state. The counts
+     * are not part of it: they travel with the owning simulator's
+     * statistics (restoreStats()).
+     */
     void save(mem::ByteWriter &w) const { builder_.save(w); }
     void restore(mem::ByteReader &r) { builder_.restore(r); }
 
     const SelectionPolicy &policy() const { return builder_.policy(); }
 
+    const Stats &stats() const { return stats_; }
+    void restoreStats(const Stats &stats) { stats_ = stats; }
+
   private:
     TraceBuilder builder_;
+    Stats stats_;
 };
 
 } // namespace tpre

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "obs/obs.hh"
 
 namespace tpre
 {
@@ -34,6 +33,7 @@ TraceCache::save(mem::ByteWriter &w) const
     }
     w.put(useClock_);
     w.put(now_);
+    w.put(probes_);
     w.put(attrib_);
 }
 
@@ -65,6 +65,7 @@ TraceCache::restore(mem::ByteReader &r)
     }
     useClock_ = r.get<std::uint64_t>();
     now_ = r.get<Cycle>();
+    probes_ = r.get<std::uint64_t>();
     attrib_ = r.get<AttribTable>();
 }
 
@@ -135,11 +136,10 @@ TraceCache::recordEviction(const Entry &entry, EvictReason reason)
 const Trace *
 TraceCache::lookup(const TraceId &id)
 {
-    TPRE_OBS_COUNT("tcache.probes");
+    ++probes_;
     Entry *entry = findEntry(id);
     if (!entry)
         return nullptr;
-    TPRE_OBS_COUNT("tcache.hits");
     entry->lastUse = tick();
     recordUse(*entry);
     return &entry->trace;
@@ -169,7 +169,6 @@ const Trace *
 TraceCache::insert(const Trace &trace, bool servedAtInsert)
 {
     tpre_assert(trace.id.valid(), "inserting invalid trace");
-    TPRE_OBS_COUNT("tcache.fills");
     // Classify once per insert (the only place a body enters the
     // cache); hits and evictions reuse the cached class.
     const TraceClass cls = classifyTrace(trace);
@@ -189,10 +188,8 @@ TraceCache::insert(const Trace &trace, bool servedAtInsert)
         return &existing->trace;
     }
     Entry &victim = victimIn(setOf(trace.id));
-    if (victim.valid) {
-        TPRE_OBS_COUNT("tcache.evictions");
+    if (victim.valid)
         recordEviction(victim, EvictReason::Capacity);
-    }
     victim.valid = true;
     victim.trace = trace;
     victim.cls = cls;

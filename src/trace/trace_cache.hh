@@ -32,7 +32,10 @@ class TraceCache
     TraceCache(std::size_t numEntries, unsigned assoc = 2,
                mem::ArenaRef arena = {});
 
-    /** Look up a trace; updates LRU on hit. nullptr on miss. */
+    /**
+     * Look up a trace; updates LRU on hit. nullptr on miss. Every
+     * call counts one probe.
+     */
     const Trace *lookup(const TraceId &id);
 
     /** Probe without disturbing replacement state. */
@@ -45,8 +48,8 @@ class TraceCache
      *        directly (preconstruction-buffer promotion on the
      *        fast path inserts-then-serves without a second
      *        lookup); the ledger records the serve as a hit and
-     *        the line's first use. The tcache.hits obs counter is
-     *        untouched — that counter pins lookup() hits only.
+     *        the line's first use. It is not a probe: probes()
+     *        counts lookup() calls only.
      *
      * @return the stored image, so hit paths that insert-then-serve
      *         (preconstruction-buffer promotion) need no second
@@ -93,7 +96,14 @@ class TraceCache
      */
     const AttribTable &attrib() const { return attrib_; }
 
-    /** Checkpoint/restore entries, LRU state and the ledger. */
+    /**
+     * lookup() calls so far, hit or miss. The frontends probe once
+     * per fetched trace, plus once more per timing-mode promotion
+     * (check::ledgerReconciles{Fast,Timing} pin both).
+     */
+    std::uint64_t probes() const { return probes_; }
+
+    /** Checkpoint/restore entries, LRU state, probes and the ledger. */
     void save(mem::ByteWriter &w) const;
     void restore(mem::ByteReader &r);
 
@@ -135,6 +145,7 @@ class TraceCache
     std::uint64_t useClock_ = 0;
     /** Ledger clock (simulated cycles); see advanceTo(). */
     Cycle now_ = 0;
+    std::uint64_t probes_ = 0;
     AttribTable attrib_;
 };
 

@@ -32,6 +32,19 @@ constexpr std::int32_t frameBytes = 64;
 constexpr unsigned maxLoopDepth = 4;
 constexpr unsigned maxIfDepth = 3;
 
+/**
+ * Symbol of function @p i, "f<i>". Appended rather than built as
+ * `"f" + std::to_string(i)`, which trips a g++ 12 -Wrestrict false
+ * positive.
+ */
+std::string
+funcSymbol(unsigned i)
+{
+    std::string name = "f";
+    name += std::to_string(i);
+    return name;
+}
+
 unsigned
 floorPow2(unsigned v)
 {
@@ -424,7 +437,7 @@ WorkloadGenerator::generate()
     funcLabels_.reserve(profile_.numFuncs);
     for (unsigned i = 0; i < profile_.numFuncs; ++i)
         funcLabels_.push_back(
-            builder_.newLabel("f" + std::to_string(i)));
+            builder_.newLabel(funcSymbol(i)));
 
     for (unsigned i = 0; i < profile_.numFuncs; ++i)
         emitFunction(i);
@@ -438,7 +451,7 @@ WorkloadGenerator::generate()
                           total - dispatcherStart_};
     for (unsigned i = 0; i < profile_.numFuncs; ++i)
         out.funcAddrs.push_back(
-            out.program.symbol("f" + std::to_string(i)));
+            out.program.symbol(funcSymbol(i)));
     return out;
 }
 

@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 
 #include "check/diff.hh"
 #include "check/fuzz.hh"
 #include "check/invariants.hh"
 #include "check/stats_check.hh"
+#include "tproc/fast_sim.hh"
+#include "tproc/processor.hh"
 #include "trace/fill_unit.hh"
 #include "workload/generator.hh"
 
@@ -531,6 +534,171 @@ TEST(FastStatsEqual, FlagsEvictionMovedBetweenReasons)
     EXPECT_NE(v->find("attrib.precon.call_chain.evictCapacity"),
               std::string::npos)
         << *v;
+}
+
+// ---------------------------------------------------------------
+// The counting contract: every equality ledgerReconciles{Fast,
+// Timing} keeps between a component's own count and the stats
+// fires when one side of a real run moves by one.
+// ---------------------------------------------------------------
+
+class CountReconcile : public testing::Test
+{
+  protected:
+    static void
+    SetUpTestSuite()
+    {
+        WorkloadGenerator gen(specint95Profile("gcc"));
+        workload_ =
+            std::make_unique<GeneratedWorkload>(gen.generate());
+
+        FastSimConfig fcfg;
+        fcfg.traceCacheEntries = 128;
+        fcfg.preconEnabled = true;
+        fcfg.precon.bufferEntries = 128;
+        fast_ = std::make_unique<FastSim>(workload_->program, fcfg);
+        fast_->run(kInsts);
+
+        ProcessorConfig pcfg;
+        pcfg.traceCacheEntries = 128;
+        pcfg.preconEnabled = true;
+        pcfg.precon.bufferEntries = 128;
+        timing_ =
+            std::make_unique<TraceProcessor>(workload_->program, pcfg);
+        timing_->run(kInsts);
+    }
+
+    static void
+    TearDownTestSuite()
+    {
+        // The simulators hold references into the workload.
+        timing_.reset();
+        fast_.reset();
+        workload_.reset();
+    }
+
+    static Violation
+    checkFast(const FastSimStats &stats, const FillUnit::Stats &fill)
+    {
+        return check::ledgerReconcilesFast(stats, fast_->traceCache(),
+                                           fill);
+    }
+
+    static Violation
+    checkTiming(const ProcessorStats &stats,
+                const NextTracePredictor::Stats &ntp)
+    {
+        return check::ledgerReconcilesTiming(
+            stats, timing_->traceCache(), ntp);
+    }
+
+    /** @p v must be the count equality @p what. */
+    static void
+    expectFires(const Violation &v, const std::string &what)
+    {
+        ASSERT_TRUE(v.has_value()) << what;
+        EXPECT_EQ(failureCategory(*v), "count-reconcile");
+        EXPECT_EQ(v->rfind("count-reconcile: " + what + ": counted ", 0),
+                  0u)
+            << *v;
+    }
+
+    static constexpr InstCount kInsts = 100000;
+    static inline std::unique_ptr<GeneratedWorkload> workload_;
+    static inline std::unique_ptr<FastSim> fast_;
+    static inline std::unique_ptr<TraceProcessor> timing_;
+};
+
+TEST_F(CountReconcile, RealRunsReconcile)
+{
+    EXPECT_GT(fast_->stats().pbHits, 0u);
+    EXPECT_GT(timing_->stats().pbHits, 0u);
+    const Violation fast =
+        checkFast(fast_->stats(), fast_->fillUnit().stats());
+    EXPECT_FALSE(fast.has_value()) << *fast;
+    const Violation timing =
+        checkTiming(timing_->stats(), timing_->ntp().stats());
+    EXPECT_FALSE(timing.has_value()) << *timing;
+}
+
+TEST_F(CountReconcile, FastCacheProbesVsTraces)
+{
+    FastSimStats stats = fast_->stats();
+    ++stats.traces;
+    expectFires(checkFast(stats, fast_->fillUnit().stats()),
+                "cache probes vs traces");
+}
+
+TEST_F(CountReconcile, FastBufferProbesVsMissesAndPbHits)
+{
+    FastSimStats stats = fast_->stats();
+    --stats.precon.bufferProbes;
+    expectFires(checkFast(stats, fast_->fillUnit().stats()),
+                "buffer probes vs tcMisses + pbHits");
+}
+
+TEST_F(CountReconcile, FastEngineBufferHitsVsPbHits)
+{
+    FastSimStats stats = fast_->stats();
+    ++stats.precon.bufferHits;
+    expectFires(checkFast(stats, fast_->fillUnit().stats()),
+                "engine bufferHits vs pbHits");
+}
+
+TEST_F(CountReconcile, FastFillInstsVsInstructions)
+{
+    FastSimStats stats = fast_->stats();
+    --stats.instructions;
+    expectFires(checkFast(stats, fast_->fillUnit().stats()),
+                "fill insts vs instructions");
+}
+
+TEST_F(CountReconcile, FastFillTracesAndFlushesVsTraces)
+{
+    FillUnit::Stats fill = fast_->fillUnit().stats();
+    ++fill.flushes;
+    expectFires(checkFast(fast_->stats(), fill),
+                "fill traces + flushes vs traces");
+}
+
+TEST_F(CountReconcile, TimingCacheProbesCountPromotionsTwice)
+{
+    ProcessorStats stats = timing_->stats();
+    ++stats.tcHits;
+    expectFires(checkTiming(stats, timing_->ntp().stats()),
+                "cache probes vs tcHits + tcMisses + 2*pbHits");
+}
+
+TEST_F(CountReconcile, TimingBufferProbesVsMissesAndPbHits)
+{
+    ProcessorStats stats = timing_->stats();
+    ++stats.precon.bufferProbes;
+    expectFires(checkTiming(stats, timing_->ntp().stats()),
+                "buffer probes vs tcMisses + pbHits");
+}
+
+TEST_F(CountReconcile, TimingEngineBufferHitsVsPbHits)
+{
+    ProcessorStats stats = timing_->stats();
+    --stats.precon.bufferHits;
+    expectFires(checkTiming(stats, timing_->ntp().stats()),
+                "engine bufferHits vs pbHits");
+}
+
+TEST_F(CountReconcile, TimingNtpUpdatesVsTraces)
+{
+    ProcessorStats stats = timing_->stats();
+    ++stats.traces;
+    expectFires(checkTiming(stats, timing_->ntp().stats()),
+                "ntp updates vs traces");
+}
+
+TEST_F(CountReconcile, TimingNtpPredictionsVsOutcomes)
+{
+    NextTracePredictor::Stats ntp = timing_->ntp().stats();
+    --ntp.predictions;
+    expectFires(checkTiming(timing_->stats(), ntp),
+                "ntp predictions vs ntpCorrect + ntpWrong + ntpNone");
 }
 
 TEST(RasWellFormed, DefaultStackIsSane)

@@ -850,8 +850,13 @@ TEST(PreconExampleTest, FastSimUsesPreconstructedTraces)
     // evicted, and preconstruction re-supplies them.
     ProgramBuilder b;
     std::vector<ProgramBuilder::Label> procs;
-    for (int i = 0; i < 8; ++i)
-        procs.push_back(b.newLabel("p" + std::to_string(i)));
+    for (int i = 0; i < 8; ++i) {
+        // Appended: `"p" + std::to_string(i)` trips a g++ 12
+        // -Wrestrict false positive.
+        std::string name = "p";
+        name += std::to_string(i);
+        procs.push_back(b.newLabel(name));
+    }
 
     b.li(10, 2000); // outer repetitions
     auto outer = b.here("outer");

@@ -37,6 +37,7 @@
 #include "telemetry/run_registry.hh"
 #include "telemetry/server.hh"
 #include "tproc/fast_sim.hh"
+#include "tproc/processor.hh"
 #include "trace/trace_cache.hh"
 #include "workload/generator.hh"
 
@@ -213,8 +214,7 @@ TEST(TelemetryServerTest, ServesMetricsHealthzRunsAnd404)
 TEST(TelemetryServerTest, ScrapeDuringRunJobsSeesTheRun)
 {
     // Direct registration, so the scrape has at least one family
-    // even under -DTPRE_OBS_DISABLED=ON (where the simulator's
-    // TPRE_OBS_* call sites compile away).
+    // before any simulator run has published.
     obs::Counter counter("telemetry_test.batch");
     counter.add();
 
@@ -410,10 +410,6 @@ TEST(ProvenanceTest, FirstUseLatencyMeasuredOnProvenanceClock)
 TEST(ProvenanceTest, ServedAtInsertCountsAsHitAndFirstUse)
 {
     TraceCache tc(4, 2);
-    const obs::MetricsRegistry &reg =
-        obs::MetricsRegistry::instance();
-    const std::uint64_t hitsBefore =
-        reg.counterThreadValue("tcache.hits");
     tc.insert(provTrace(0x1000, TraceOrigin::Precon),
               /*servedAtInsert=*/true);
     const AttribCell pre =
@@ -421,9 +417,14 @@ TEST(ProvenanceTest, ServedAtInsertCountsAsHitAndFirstUse)
     EXPECT_EQ(pre.builds, 1u);
     EXPECT_EQ(pre.hits, 1u);
     EXPECT_EQ(pre.firstUses, 1u);
-    // The obs tcache.hits counter pins lookup() hits only; a
-    // promote-serve must not move it (instrumentation contract).
-    EXPECT_EQ(reg.counterThreadValue("tcache.hits"), hitsBefore);
+    // A promote-serve is not a probe: the fast-mode algebra
+    // (probes == traces) depends on probes() counting lookup()
+    // calls only.
+    EXPECT_EQ(tc.probes(), 0u);
+    EXPECT_NE(tc.lookup({0x1000, 0, 0}), nullptr);
+    EXPECT_EQ(tc.probes(), 1u);
+    EXPECT_EQ(tc.lookup({0x2000, 0, 0}), nullptr);
+    EXPECT_EQ(tc.probes(), 2u);
 }
 
 TEST(ProvenanceTest, CapacityEvictionClosesTheVictimRecord)
@@ -564,12 +565,36 @@ TEST(JsonLogTest, LevelThresholdSuppressesBelow)
     EXPECT_TRUE(logLevelEnabled(LogLevel::Error));
 }
 
+telemetry::Heartbeat::Counts
+beatCounts(std::uint64_t instructions, std::uint64_t hits,
+           std::uint64_t fillBuilds, std::uint64_t preconBuilds)
+{
+    telemetry::Heartbeat::Counts c;
+    c.instructions = instructions;
+    c.hits = hits;
+    c.fillBuilds = fillBuilds;
+    c.preconBuilds = preconBuilds;
+    return c;
+}
+
+/** The numeric value of @p field in a JSON heartbeat record. */
+double
+beatField(const std::string &beat, const std::string &field)
+{
+    const std::string key = "\"" + field + "\": ";
+    const std::size_t at = beat.find(key);
+    EXPECT_NE(at, std::string::npos) << field << " in " << beat;
+    return at == std::string::npos
+               ? -1.0
+               : std::stod(beat.substr(at + key.size()));
+}
+
 TEST(HeartbeatTest, FormatsJsonAndTextBeats)
 {
     {
         ScopedLogConfig scope(LogFormat::Json, LogLevel::Info);
         const std::string beat = telemetry::Heartbeat::formatBeat(
-            2000000, 2.0, 1000, 600, 200);
+            beatCounts(2000000, 800, 200, 200), 2.0);
         EXPECT_EQ(beat.front(), '{');
         EXPECT_EQ(beat.back(), '}');
         EXPECT_NE(beat.find("\"event\": \"heartbeat\""),
@@ -577,7 +602,7 @@ TEST(HeartbeatTest, FormatsJsonAndTextBeats)
         EXPECT_NE(beat.find("\"instructions\": 2000000"),
                   std::string::npos);
         EXPECT_NE(beat.find("\"mips\": 1"), std::string::npos);
-        // (600 + 200) / 1000 probes, 200 / 800 precon share.
+        // 800 hits of 1000 fetched traces, 200 / 800 promoted.
         EXPECT_NE(beat.find("\"tcache_hit_rate\": 0.8"),
                   std::string::npos);
         EXPECT_NE(beat.find("\"precon_coverage\": 0.25"),
@@ -586,11 +611,46 @@ TEST(HeartbeatTest, FormatsJsonAndTextBeats)
     {
         ScopedLogConfig scope(LogFormat::Text, LogLevel::Info);
         const std::string beat = telemetry::Heartbeat::formatBeat(
-            2000000, 2.0, 1000, 600, 200);
+            beatCounts(2000000, 800, 200, 200), 2.0);
         EXPECT_NE(beat.find("heartbeat: 2000000 insts"),
                   std::string::npos);
         EXPECT_NE(beat.find("1.000 MIPS"), std::string::npos);
     }
+}
+
+TEST(HeartbeatTest, TimingRunRatesCountEachPromotionOnce)
+{
+    // Timing mode probes the trace cache twice per buffer
+    // promotion; a beat built from cache probes would report
+    // (tcHits + 2 pbHits) / (tcHits + tcMisses + 2 pbHits). The
+    // published ledger counts each fetched trace once.
+    Simulator sim;
+    const auto workload = sim.workload("gcc", 0);
+    ProcessorConfig cfg;
+    cfg.traceCacheEntries = 128;
+    cfg.preconEnabled = true;
+    cfg.precon.bufferEntries = 128;
+    TraceProcessor proc(workload->program, cfg);
+    const ProcessorStats &st = proc.run(100000);
+    ASSERT_GT(st.pbHits, 0u) << "workload exercised no precon";
+    ASSERT_GT(st.tcHits, 0u);
+    ASSERT_GT(st.tcMisses, 0u);
+
+    telemetry::resetPublishedLedgers();
+    telemetry::publishRunLedgers(st.attrib);
+    telemetry::Heartbeat::Counts interval =
+        telemetry::Heartbeat::Counts::published();
+    interval.instructions = st.instructions;
+    telemetry::resetPublishedLedgers();
+
+    ScopedLogConfig scope(LogFormat::Json, LogLevel::Info);
+    const std::string beat =
+        telemetry::Heartbeat::formatBeat(interval, 1.0);
+    const double hits = static_cast<double>(st.tcHits + st.pbHits);
+    EXPECT_DOUBLE_EQ(beatField(beat, "tcache_hit_rate"),
+                     hits / (hits + static_cast<double>(st.tcMisses)));
+    EXPECT_DOUBLE_EQ(beatField(beat, "precon_coverage"),
+                     static_cast<double>(st.pbHits) / hits);
 }
 
 TEST(HeartbeatTest, StartsAndStopsCleanly)
